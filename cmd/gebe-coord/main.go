@@ -33,8 +33,8 @@ import (
 	"syscall"
 	"time"
 
+	"gebe/internal/api"
 	"gebe/internal/obs"
-	"gebe/internal/serve"
 	"gebe/internal/shard"
 )
 
@@ -103,11 +103,11 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := serve.Run(ln, coord.Handler(), sig, *drain, obs.Default()); err != nil {
+	if err := api.Run(ln, coord.Handler(), sig, *drain, obs.Default()); err != nil {
 		fail(err)
 	}
 	if *latencyOut != "" {
-		if err := coord.WriteLatencySnapshot(*latencyOut); err != nil {
+		if err := coord.LatencySnapshot().WriteFile(*latencyOut); err != nil {
 			fail(err)
 		}
 		obs.Default().Info("coord: wrote latency snapshot", "path", *latencyOut)

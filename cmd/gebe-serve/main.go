@@ -34,6 +34,7 @@ import (
 
 	"gebe"
 	"gebe/internal/ann"
+	"gebe/internal/api"
 	"gebe/internal/dense"
 	"gebe/internal/eval"
 	"gebe/internal/obs"
@@ -157,14 +158,14 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := serve.Run(ln, srv.Handler(), sig, *drain, obs.Default()); err != nil {
+	if err := api.Run(ln, srv.Handler(), sig, *drain, obs.Default()); err != nil {
 		fail(err)
 	}
 	// The snapshot is written after the drain so it covers every request
 	// this process served; gebe-regress compares it against the committed
 	// baseline.
 	if *latencyOut != "" {
-		if err := srv.WriteLatencySnapshot(*latencyOut); err != nil {
+		if err := srv.LatencySnapshot().WriteFile(*latencyOut); err != nil {
 			fail(err)
 		}
 		obs.Default().Info("serve: wrote latency snapshot", "path", *latencyOut)

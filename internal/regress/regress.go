@@ -21,9 +21,9 @@ import (
 	"strings"
 	"time"
 
+	"gebe/internal/api"
 	"gebe/internal/experiments"
 	"gebe/internal/obs"
-	"gebe/internal/serve"
 )
 
 // Options tunes the gate.
@@ -134,10 +134,10 @@ func (r *Report) check(opt Options, metric string, oldV, newV float64) {
 // CompareSnapshots gates a new serve latency snapshot against a
 // baseline: per-endpoint quantiles plus the mean, endpoints present in
 // both and sampled at least MinCount times on each side.
-func CompareSnapshots(oldS, newS serve.LatencySnapshot, opt Options) Report {
+func CompareSnapshots(oldS, newS api.LatencySnapshot, opt Options) Report {
 	opt = opt.withDefaults()
 	r := Report{Mode: "latency", OldBuild: &oldS.Build, NewBuild: &newS.Build}
-	for _, ep := range serve.SortedEndpoints(newS) {
+	for _, ep := range api.SortedEndpoints(newS) {
 		oldE, ok := oldS.Endpoints[ep]
 		newE := newS.Endpoints[ep]
 		if !ok || oldE.Count < opt.MinCount || newE.Count < opt.MinCount {
@@ -224,7 +224,7 @@ func CompareFiles(oldPath, newPath string, opt Options) (Report, error) {
 		}
 		return compareBenchReports(oldEs, newEs, opt)
 	case "latency":
-		var oldS, newS serve.LatencySnapshot
+		var oldS, newS api.LatencySnapshot
 		if err := json.Unmarshal(oldRaw, &oldS); err != nil {
 			return Report{}, fmt.Errorf("regress: %s: %w", oldPath, err)
 		}

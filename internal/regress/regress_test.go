@@ -8,15 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"gebe/internal/api"
 	"gebe/internal/experiments"
 	"gebe/internal/obs"
-	"gebe/internal/serve"
 )
 
-func snapshot(p50, p99, sum float64, count uint64) serve.LatencySnapshot {
-	return serve.LatencySnapshot{
+func snapshot(p50, p99, sum float64, count uint64) api.LatencySnapshot {
+	return api.LatencySnapshot{
 		Build: obs.BuildInfo(),
-		Endpoints: map[string]serve.EndpointLatency{
+		Endpoints: map[string]api.EndpointLatency{
 			"recommend": {
 				Count:      count,
 				SumSeconds: sum,
@@ -92,7 +92,7 @@ func TestSkipsLowCountAndMissingEndpoints(t *testing.T) {
 	oldS := snapshot(0.010, 0.040, 0.50, 40)
 	newS := snapshot(0.100, 0.400, 5.0, 40)
 	// similar only exists on the new side; recommend drops below MinCount.
-	newS.Endpoints["similar"] = serve.EndpointLatency{Count: 5, Quantiles: map[string]float64{"p50": 9}}
+	newS.Endpoints["similar"] = api.EndpointLatency{Count: 5, Quantiles: map[string]float64{"p50": 9}}
 	e := newS.Endpoints["recommend"]
 	e.Count = 3
 	newS.Endpoints["recommend"] = e

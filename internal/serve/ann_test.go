@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gebe/internal/ann"
+	"gebe/internal/api"
 	"gebe/internal/bigraph"
 	"gebe/internal/core"
 	"gebe/internal/obs"
@@ -51,8 +52,8 @@ func TestApproxFullProbeMatchesExact(t *testing.T) {
 			t.Fatalf("approx %s = %q", retrievalModeHeader, got)
 		}
 
-		e := decode[RecommendResponse](t, exact)
-		a := decode[RecommendResponse](t, approx)
+		e := decode[api.RecommendResponse](t, exact)
+		a := decode[api.RecommendResponse](t, approx)
 		for i := range e.Results {
 			ew, aw := e.Results[i], a.Results[i]
 			if len(ew.Items) != len(aw.Items) {
@@ -78,20 +79,20 @@ func TestApproxPrunes(t *testing.T) {
 	exact := `{"user":2,"n":4}`
 	approx := `{"user":2,"n":4,"mode":"approx","nprobe":1}`
 
-	if r := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", exact)); r.Results[0].Cached {
+	if r := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", exact)); r.Results[0].Cached {
 		t.Fatal("first exact query claims cached")
 	}
 	// Same user in approx mode must MISS (distinct key), then hit.
-	if r := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", approx)); r.Results[0].Cached {
+	if r := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", approx)); r.Results[0].Cached {
 		t.Fatal("approx query hit the exact-mode cache entry")
 	}
-	if r := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", approx)); !r.Results[0].Cached {
+	if r := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", approx)); !r.Results[0].Cached {
 		t.Fatal("repeated approx query not cached")
 	}
 	// nprobe 0 canonicalizes to the index default — for this index
 	// max(1, 6/8) = 1 — so it shares entries with an explicit nprobe 1.
 	noProbe := `{"user":2,"n":4,"mode":"approx"}`
-	if r := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", noProbe)); !r.Results[0].Cached {
+	if r := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", noProbe)); !r.Results[0].Cached {
 		t.Fatal("nprobe 0 did not canonicalize onto the default-probe cache entry")
 	}
 }
@@ -119,7 +120,7 @@ func TestApproxValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, w.Code)
 			continue
 		}
-		if e := decode[errorResponse](t, w); !strings.Contains(e.Error, tc.want) {
+		if e := decode[api.ErrorResponse](t, w); !strings.Contains(e.Error, tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, e.Error, tc.want)
 		}
 	}
@@ -196,7 +197,7 @@ func TestConcurrentApproxAndReload(t *testing.T) {
 	}
 	h := s.Handler()
 
-	wantByParity := map[int][]ScoredItem{
+	wantByParity := map[int][]api.ScoredItem{
 		1: expectTopN(embA, g, 3, 5),
 		0: expectTopN(embB, g, 3, 5),
 	}
@@ -227,7 +228,7 @@ func TestConcurrentApproxAndReload(t *testing.T) {
 					errs <- "missing X-Model-Version"
 					continue
 				}
-				resp := RecommendResponse{}
+				resp := api.RecommendResponse{}
 				if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 					errs <- err.Error()
 					continue

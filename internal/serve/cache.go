@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"gebe/internal/api"
 )
 
 // lruCache is a size-bounded LRU over recommendation lists. Repeated
@@ -22,7 +24,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key string
-	val []ScoredItem
+	val []api.ScoredItem
 }
 
 // newLRU returns a cache bounded to cap entries, or nil when cap <= 0.
@@ -34,7 +36,7 @@ func newLRU(cap int) *lruCache {
 }
 
 // get returns the cached value and refreshes its recency.
-func (c *lruCache) get(key string) ([]ScoredItem, bool) {
+func (c *lruCache) get(key string) ([]api.ScoredItem, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -52,7 +54,7 @@ func (c *lruCache) get(key string) ([]ScoredItem, bool) {
 // entry when full. Values are stored as-is: callers must not mutate a
 // slice after handing it over (the handlers build a fresh slice per
 // miss and only ever read it back).
-func (c *lruCache) add(key string, val []ScoredItem) {
+func (c *lruCache) add(key string, val []api.ScoredItem) {
 	if c == nil {
 		return
 	}

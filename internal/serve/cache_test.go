@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"gebe/internal/api"
 )
 
-func items(v float64) []ScoredItem { return []ScoredItem{{Item: 1, Score: v}} }
+func items(v float64) []api.ScoredItem { return []api.ScoredItem{{Item: 1, Score: v}} }
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)

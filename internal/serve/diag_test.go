@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gebe/internal/api"
 	"gebe/internal/obs"
 )
 
@@ -61,7 +62,11 @@ func TestRequestTraceRetrievableByID(t *testing.T) {
 	if sum.Code != http.StatusOK {
 		t.Fatalf("/debug/requests: %d %s", sum.Code, sum.Body)
 	}
-	summary := decode[debugRequestsResponse](t, sum)
+	summary := decode[struct {
+		Capacity int              `json:"capacity"`
+		Count    int              `json:"count"`
+		Requests []obs.TraceEntry `json:"requests"`
+	}](t, sum)
 	if summary.Capacity != 8 || summary.Count == 0 {
 		t.Fatalf("summary = %+v, want capacity 8 and entries", summary)
 	}
@@ -141,7 +146,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	if got := w.Header().Get("X-Request-ID"); got != "upstream-abc-123" {
 		t.Errorf("upstream id not propagated: %q", got)
 	}
-	if _, ok := s.tlog.Get("upstream-abc-123"); !ok {
+	if _, ok := s.lc.Traces().Get("upstream-abc-123"); !ok {
 		t.Error("trace not retrievable under the upstream id")
 	}
 
@@ -173,7 +178,7 @@ func TestDeadlineTraceRetained(t *testing.T) {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
 	id := w.Header().Get("X-Request-ID")
-	e, ok := s.tlog.Get(id)
+	e, ok := s.lc.Traces().Get(id)
 	if !ok {
 		t.Fatal("blown-deadline trace not retained")
 	}
@@ -194,16 +199,15 @@ func TestDebugRequestsDisabledAndMissing(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("unknown id: %d, want 404", w.Code)
 	}
-	if e := decode[errorResponse](t, w); e.Error == "" {
+	if e := decode[api.ErrorResponse](t, w); e.Error == "" {
 		t.Error("404 body not a JSON error")
 	}
 }
 
 func TestDebugRequestsBypassShedding(t *testing.T) {
 	s, _ := newTestServer(t, Config{TraceRequests: 4, MaxInflight: 1})
-	s.limiter <- struct{}{} // saturate
-	defer func() { <-s.limiter }()
 	h := s.Handler()
+	defer parkScoring(t, func() { postJSON(t, h, "/v1/recommend", `{"user":0}`) })()
 	if w := get(t, h, "/debug/requests"); w.Code != http.StatusOK {
 		t.Errorf("/debug/requests at capacity: %d, want 200 (must bypass limiter)", w.Code)
 	}
@@ -231,15 +235,32 @@ func TestAccessLog(t *testing.T) {
 		}
 	}
 
+	// A spent caller budget: recommend degrades to a truncated 200 and
+	// similar to a 503, each logged with its cause.
+	for _, tc := range []struct{ method, path, body, want string }{
+		{"POST", "/v1/recommend", `{"user":0}`, "cause=truncated"},
+		{"GET", "/v1/similar?id=1", "", "cause=deadline"},
+	} {
+		buf.Reset()
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		req.Header.Set(api.DeadlineHeader, "0")
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		if line := buf.String(); !strings.Contains(line, "serve: access") || !strings.Contains(line, tc.want) {
+			t.Errorf("%s access log %q missing %q", tc.path, line, tc.want)
+		}
+	}
+
 	// Shed requests are logged too, with the cause, and no id.
-	buf.Reset()
 	s2, _ := newTestServer(t, Config{
 		MaxInflight: 1,
 		Log:         obs.NewTextLogger(&buf, slog.LevelInfo),
 	})
-	s2.limiter <- struct{}{}
-	postJSON(t, s2.Handler(), "/v1/recommend", `{"user":0}`)
+	h2 := s2.Handler()
+	release := parkScoring(t, func() { postJSON(t, h2, "/v1/recommend", `{"user":0}`) })
+	buf.Reset()
+	postJSON(t, h2, "/v1/recommend", `{"user":0}`)
 	shedLine := buf.String()
+	release()
 	for _, want := range []string{"serve: access", "endpoint=recommend", "status=429", "cause=shed"} {
 		if !strings.Contains(shedLine, want) {
 			t.Errorf("shed access log %q missing %q", shedLine, want)
@@ -291,16 +312,16 @@ func TestLatencySnapshot(t *testing.T) {
 	if snap.Build.GoVersion == "" {
 		t.Error("snapshot missing build provenance")
 	}
-	if got := SortedEndpoints(snap); len(got) != len(endpoints) || got[0] != "healthz" {
+	if got := api.SortedEndpoints(snap); len(got) != len(api.Endpoints) || got[0] != "healthz" {
 		t.Errorf("sorted endpoints = %v", got)
 	}
 
 	// Round-trips through the file form.
 	path := filepath.Join(t.TempDir(), "SERVE_LATENCY.json")
-	if err := s.WriteLatencySnapshot(path); err != nil {
+	if err := s.LatencySnapshot().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var back LatencySnapshot
+	var back api.LatencySnapshot
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

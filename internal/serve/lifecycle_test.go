@@ -14,100 +14,92 @@ import (
 	"testing"
 	"time"
 
-	"gebe/internal/obs"
+	"gebe/internal/api"
 )
 
-// blockingHandler answers 200 after release closes, reporting each
-// arrival on entered. healthz requests answer immediately so the
-// bypass path stays testable while the rest of the server is wedged.
-func blockingHandler(entered chan<- struct{}, release <-chan struct{}) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/healthz" {
-			w.WriteHeader(http.StatusOK)
-			return
+// parkScoring runs send in a goroutine and holds the request it makes
+// inside the scorer's first checkpoint — a slow scoring pass through
+// the real handler stack, occupying its limiter slot. It returns once
+// the request is parked; release lets it finish and waits for send to
+// return. send must make exactly one exact-mode, uncached recommend
+// request; no other request may reach scoring until release.
+func parkScoring(t *testing.T, send func()) (release func()) {
+	t.Helper()
+	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	testCheckpoint = func() func() error {
+		return func() error {
+			entered <- struct{}{}
+			<-gate
+			return nil
 		}
-		entered <- struct{}{}
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-}
-
-func TestShed429(t *testing.T) {
-	s, reg := newTestServer(t, Config{MaxInflight: 1})
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	ts := httptest.NewServer(s.lifecycle(blockingHandler(entered, release)))
-	defer ts.Close()
-
-	// Saturate the single slot.
-	var wg sync.WaitGroup
-	wg.Add(1)
+	}
 	go func() {
-		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/v1/recommend")
-		if err != nil {
-			t.Errorf("in-flight request: %v", err)
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("in-flight request finished %d after release", resp.StatusCode)
-		}
+		defer close(done)
+		send()
 	}()
 	<-entered
+	return func() {
+		close(gate)
+		<-done
+		testCheckpoint = nil
+	}
+}
 
-	// The next request must shed immediately, not queue.
-	resp, err := http.Get(ts.URL + "/v1/recommend")
-	if err != nil {
-		t.Fatal(err)
+// TestShed429 drives load shedding through the full serve stack: with
+// the single slot held by a request mid-scoring, the next request is
+// shed at once with 429, a JSON error and Retry-After; healthz still
+// answers; and the slot frees once the request finishes.
+func TestShed429(t *testing.T) {
+	s, reg := newTestServer(t, Config{MaxInflight: 1})
+	h := s.Handler()
+	var parked *httptest.ResponseRecorder
+	release := parkScoring(t, func() { parked = postJSON(t, h, "/v1/recommend", `{"user":0}`) })
+
+	w := postJSON(t, h, "/v1/recommend", `{"user":1}`)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated request: status %d, want 429", w.Code)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated request: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
+	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	var e errorResponse
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Errorf("429 body %q not a JSON error", body)
+	if e := decode[api.ErrorResponse](t, w); e.Error == "" {
+		t.Error("429 body not a JSON error")
 	}
 	if got := reg.Counter("serve_shed_total", "").Value(); got != 1 {
 		t.Errorf("shed counter = %v, want 1", got)
 	}
-
-	// Liveness probes bypass the limiter even at capacity.
-	hz, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hz.Body.Close()
-	if hz.StatusCode != http.StatusOK {
-		t.Errorf("healthz at capacity: status %d, want 200", hz.StatusCode)
+	if hz := get(t, h, "/v1/healthz"); hz.Code != http.StatusOK {
+		t.Errorf("healthz at capacity: status %d, want 200", hz.Code)
 	}
 
-	close(release)
-	wg.Wait()
-	// The slot frees after drain: a fresh request is served again.
-	resp2, err := http.Get(ts.URL + "/v1/recommend")
-	if err != nil {
-		t.Fatal(err)
+	release()
+	if parked.Code != http.StatusOK {
+		t.Errorf("in-flight request finished %d after release", parked.Code)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("post-release request: status %d, want 200", resp2.StatusCode)
+	if w := postJSON(t, h, "/v1/recommend", `{"user":1}`); w.Code != http.StatusOK {
+		t.Errorf("post-release request: status %d, want 200", w.Code)
+	}
+	if got := s.LatencySnapshot().Counters["shed"]; got != 1 {
+		t.Errorf("snapshot shed counter = %v, want 1", got)
 	}
 }
 
+// TestPanicRecovery panics inside scoring: the serve stack answers a
+// JSON 500, counts the panic, and releases both the in-flight gauge and
+// the limiter slot.
 func TestPanicRecovery(t *testing.T) {
 	s, reg := newTestServer(t, Config{MaxInflight: 1})
-	boom := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("scoring exploded") })
-	h := s.lifecycle(boom)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/similar?id=1", nil))
+	h := s.Handler()
+	testCheckpoint = func() func() error {
+		return func() error { panic("scoring exploded") }
+	}
+	w := postJSON(t, h, "/v1/recommend", `{"user":0}`)
+	testCheckpoint = nil
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", w.Code)
+	}
+	if e := decode[api.ErrorResponse](t, w); e.Error != "internal error" {
+		t.Errorf("500 body error = %q", e.Error)
 	}
 	if got := reg.Counter("serve_panics_total", "").Value(); got != 1 {
 		t.Errorf("panic counter = %v, want 1", got)
@@ -115,39 +107,34 @@ func TestPanicRecovery(t *testing.T) {
 	if got := reg.Gauge("serve_inflight", "").Value(); got != 0 {
 		t.Errorf("inflight gauge = %v after panic, want 0", got)
 	}
-	// The semaphore slot must have been released: the next request runs.
-	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(200) })
-	w2 := httptest.NewRecorder()
-	s.lifecycle(ok).ServeHTTP(w2, httptest.NewRequest("GET", "/v1/info", nil))
-	if w2.Code != http.StatusOK {
-		t.Errorf("request after panic: status %d, want 200", w2.Code)
+	if w := postJSON(t, h, "/v1/recommend", `{"user":0}`); w.Code != http.StatusOK {
+		t.Errorf("request after panic: status %d, want 200", w.Code)
 	}
 }
 
+// TestGracefulDrain: SIGTERM with a request mid-scoring keeps the
+// server draining until the request finishes 200, then Run exits nil.
 func TestGracefulDrain(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
 	stop := make(chan os.Signal, 1)
 	runDone := make(chan error, 1)
-	go func() { runDone <- Run(ln, blockingHandler(entered, release), stop, 5*time.Second, nil) }()
+	go func() { runDone <- api.Run(ln, s.Handler(), stop, 5*time.Second, nil) }()
 
-	reqDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/recommend")
+	code := -1
+	release := parkScoring(t, func() {
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/recommend", "application/json",
+			strings.NewReader(`{"user":0}`))
 		if err != nil {
-			reqDone <- -1
 			return
 		}
 		resp.Body.Close()
-		reqDone <- resp.StatusCode
-	}()
-	<-entered
+		code = resp.StatusCode
+	})
 
-	// SIGTERM with a request in flight: Run must keep draining, not exit.
 	stop <- syscall.SIGTERM
 	select {
 	case err := <-runDone:
@@ -155,9 +142,8 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Releasing the handler lets the request finish 200 and Run exit nil.
-	close(release)
-	if code := <-reqDone; code != http.StatusOK {
+	release()
+	if code != http.StatusOK {
 		t.Errorf("drained request: status %d, want 200", code)
 	}
 	select {
@@ -235,7 +221,7 @@ func TestConcurrentLoad(t *testing.T) {
 	// Accounting must balance: every answered request shows up either in
 	// a per-endpoint status counter or in the shed counter.
 	total := 0.0
-	for _, ep := range endpoints {
+	for _, ep := range api.Endpoints {
 		for _, code := range []int{200, 400, 429, 503} {
 			total += reg.Counter(fmt.Sprintf("serve_status_%s_%d_total", ep, code), "").Value()
 		}
@@ -243,118 +229,5 @@ func TestConcurrentLoad(t *testing.T) {
 	total += reg.Counter("serve_shed_total", "").Value()
 	if want := float64(statuses[200] + statuses[429]); total != want {
 		t.Errorf("status counters sum to %v, want %v (statuses %v)", total, want, statuses)
-	}
-}
-
-// discardWriter is a zero-allocation ResponseWriter for alloc-count
-// tests: the header map is preallocated and bodies vanish.
-type discardWriter struct{ h http.Header }
-
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (d *discardWriter) WriteHeader(int)             {}
-
-// TestStatusRecorderForwardsFlushAndCountsBytes pins the satellite fix:
-// wrapping the ResponseWriter must not lose http.Flusher, and the
-// recorder reports how many body bytes the handler wrote (the access
-// log's bytes field).
-func TestStatusRecorderForwardsFlushAndCountsBytes(t *testing.T) {
-	under := httptest.NewRecorder()
-	rec := &statusRecorder{ResponseWriter: under}
-
-	// The wrapper must satisfy Flusher statically and forward dynamically.
-	var flusher http.Flusher = rec
-	flusher.Flush()
-	if !under.Flushed {
-		t.Error("Flush not forwarded to the underlying writer")
-	}
-
-	n, err := rec.Write([]byte("hello "))
-	if n != 6 || err != nil {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	rec.Write([]byte("world"))
-	if rec.bytes != 11 {
-		t.Errorf("bytes = %d, want 11", rec.bytes)
-	}
-	if rec.code != http.StatusOK {
-		t.Errorf("implicit code = %d, want 200", rec.code)
-	}
-	// Flushing a non-Flusher base must not panic.
-	(&statusRecorder{ResponseWriter: &discardWriter{h: make(http.Header)}}).Flush()
-}
-
-// TestHealthzTracingAllocFree guards the liveness fast path: with
-// request tracing fully enabled, a /v1/healthz request must pass the
-// tracing layer without a single allocation — no id mint, no trace, no
-// recorder.
-func TestHealthzTracingAllocFree(t *testing.T) {
-	s, _ := newTestServer(t, Config{TraceRequests: 64})
-	h := s.traced(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	req := httptest.NewRequest("GET", "/v1/healthz", nil)
-	w := &discardWriter{h: make(http.Header)}
-	if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs != 0 {
-		t.Errorf("healthz through tracing layer allocates %.1f/op, want 0", allocs)
-	}
-	// Same for the diagnostics surface itself.
-	req = httptest.NewRequest("GET", "/debug/requests", nil)
-	if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs != 0 {
-		t.Errorf("/debug through tracing layer allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestShedTracingAllocFree guards the shed fast path: enabling request
-// tracing must add zero allocations to a shed request — shedding
-// happens above the tracing layer, so a 429 never mints an id or a
-// trace.
-func TestShedTracingAllocFree(t *testing.T) {
-	shedAllocs := func(traceRequests int) float64 {
-		s, _ := newTestServer(t, Config{MaxInflight: 1, TraceRequests: traceRequests})
-		s.limiter <- struct{}{} // saturate so every request sheds
-		h := s.lifecycle(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-			panic("shed request must not reach the handler")
-		}))
-		req := httptest.NewRequest("POST", "/v1/recommend", nil)
-		w := &discardWriter{h: make(http.Header)}
-		return testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) })
-	}
-	traced, untraced := shedAllocs(64), shedAllocs(0)
-	if traced != untraced {
-		t.Errorf("tracing adds allocations to the shed path: %.1f/op with tracing, %.1f/op without",
-			traced, untraced)
-	}
-}
-
-// BenchmarkHealthzFastPath and BenchmarkShedFastPath are the
-// observable form of the alloc guards: run with -benchmem, both must
-// report the tracing layer adding 0 allocs/op.
-func BenchmarkHealthzFastPath(b *testing.B) {
-	emb, g := testEmbedding(b)
-	s, err := New(emb, g, Config{TraceRequests: 64, Metrics: obs.NewRegistry()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := s.traced(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	req := httptest.NewRequest("GET", "/v1/healthz", nil)
-	w := &discardWriter{h: make(http.Header)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ServeHTTP(w, req)
-	}
-}
-
-func BenchmarkShedFastPath(b *testing.B) {
-	emb, g := testEmbedding(b)
-	s, err := New(emb, g, Config{MaxInflight: 1, TraceRequests: 64, Metrics: obs.NewRegistry()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.limiter <- struct{}{}
-	h := s.lifecycle(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	req := httptest.NewRequest("POST", "/v1/recommend", nil)
-	w := &discardWriter{h: make(http.Header)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ServeHTTP(w, req)
 	}
 }

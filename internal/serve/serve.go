@@ -5,16 +5,15 @@
 // The handlers ride on the same tiled GEMM scoring core as the offline
 // evaluation protocol (eval.Scorer), so a served recommendation list is
 // byte-for-byte the list the eval harness would rank. Around the
-// handlers sits a request lifecycle layer (lifecycle.go): panic
-// recovery, a semaphore concurrency limiter that sheds load with 429
-// instead of queueing unboundedly, cooperative per-request deadlines
-// surfaced as 503, per-endpoint latency histograms and status-code
-// counters through internal/obs, and graceful drain on shutdown. A
-// size-bounded LRU (cache.go) memoizes repeated recommend queries.
+// handlers sits the request lifecycle shared with the coordinator
+// (internal/api): panic recovery, a semaphore concurrency limiter that
+// sheds load with 429 instead of queueing unboundedly, cooperative
+// per-request deadlines, request tracing, per-endpoint latency
+// histograms and status-code counters, and graceful drain on shutdown.
+// A size-bounded LRU (cache.go) memoizes repeated recommend queries.
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -25,6 +24,7 @@ import (
 	"time"
 
 	"gebe/internal/ann"
+	"gebe/internal/api"
 	"gebe/internal/bigraph"
 	"gebe/internal/budget"
 	"gebe/internal/core"
@@ -85,8 +85,9 @@ type Config struct {
 // Server answers embedding queries. Build one with New and mount
 // Handler on an http.Server.
 type Server struct {
-	cfg   Config
-	start time.Time
+	cfg    Config
+	lc     *api.Lifecycle
+	limits api.Limits
 
 	// cur is the served model snapshot (embedding + norms + exclusion
 	// sets + scorer pools, see model.go), swapped atomically by
@@ -95,23 +96,12 @@ type Server struct {
 	cur    atomic.Pointer[model]
 	swapMu sync.Mutex
 
-	cache   *lruCache
-	limiter chan struct{} // nil = unlimited
-
-	// Request-scoped diagnostics: the tail-sampling trace retention ring
-	// (nil when disabled) and the request-id mint (a per-process prefix
-	// plus an atomic counter, so ids are unique and cheap).
-	tlog      *obs.TraceLog
-	ridPrefix string
-	rid       atomic.Uint64
+	cache *lruCache
 
 	m serveMetrics
 }
 
 type serveMetrics struct {
-	inflight     *obs.Gauge
-	shed         *obs.Counter
-	panics       *obs.Counter
 	deadlines    *obs.Counter
 	truncated    *obs.Counter
 	cacheHit     *obs.Counter
@@ -121,47 +111,32 @@ type serveMetrics struct {
 	modelVersion *obs.Gauge
 	loadSeconds  *obs.Histogram
 	swapSeconds  *obs.Histogram
-	status       *obs.CounterVec
-	seconds      map[string]*obs.Histogram
 }
-
-// endpoints names the instrumented routes; per-endpoint histograms are
-// created eagerly so the metrics surface is complete before traffic.
-var endpoints = []string{"recommend", "similar", "score", "healthz", "info", "reload"}
 
 // New builds a Server over a loaded embedding. train is optional: when
 // non-nil its edges become the per-user exclusion sets for recommend's
 // mask_train option (the offline protocol's "exclude training edges"),
 // and it must index-align with the embedding.
 func New(emb *core.Embedding, train *bigraph.Graph, cfg Config) (*Server, error) {
-	if cfg.DefaultN <= 0 {
-		cfg.DefaultN = 10
-	}
-	if cfg.MaxN <= 0 {
-		cfg.MaxN = 1000
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1024
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.DefaultRegistry()
 	}
-	s := &Server{cfg: cfg, start: time.Now(), cache: newLRU(cfg.CacheSize)}
-	s.tlog = obs.NewTraceLog(cfg.TraceRequests)
-	s.ridPrefix = fmt.Sprintf("%08x-", uint32(time.Now().UnixNano()))
 	mdl, err := newModel(1, emb, train, cfg.ANN)
 	if err != nil {
 		return nil, err
 	}
-	s.cur.Store(mdl)
-	if cfg.MaxInflight > 0 {
-		s.limiter = make(chan struct{}, cfg.MaxInflight)
+	s := &Server{
+		cfg:    cfg,
+		limits: api.Limits{DefaultN: cfg.DefaultN, MaxN: cfg.MaxN, MaxBatch: cfg.MaxBatch}.WithDefaults(),
+		cache:  newLRU(cfg.CacheSize),
+		lc: api.New(api.Settings{
+			Component: "serve", Deadline: cfg.Deadline, MaxInflight: cfg.MaxInflight,
+			TraceRequests: cfg.TraceRequests, Metrics: cfg.Metrics, Log: cfg.Log,
+		}),
 	}
+	s.cur.Store(mdl)
 	r := cfg.Metrics
 	s.m = serveMetrics{
-		inflight:     r.Gauge("serve_inflight", "requests currently being served"),
-		shed:         r.Counter("serve_shed_total", "requests shed with 429 at the concurrency limit"),
-		panics:       r.Counter("serve_panics_total", "handler panics recovered to 500"),
 		deadlines:    r.Counter("serve_deadline_total", "requests that blew the per-request budget (503)"),
 		truncated:    r.Counter("serve_truncated_total", "recommend requests answered partially after the budget expired mid-scoring (200 + truncated)"),
 		cacheHit:     r.Counter("serve_cache_hit_total", "recommend results answered from the LRU"),
@@ -171,113 +146,56 @@ func New(emb *core.Embedding, train *bigraph.Graph, cfg Config) (*Server, error)
 		modelVersion: r.Gauge("serve_model_version", "version of the currently served model"),
 		loadSeconds:  r.Histogram("serve_model_load_seconds", "wall-clock of the reload loader (read + parse + validate)", nil),
 		swapSeconds:  r.Histogram("serve_model_swap_seconds", "wall-clock of building and publishing a model snapshot", nil),
-		status:       r.CounterVec("serve_status", "responses per endpoint and status code"),
-		seconds:      make(map[string]*obs.Histogram, len(endpoints)),
 	}
 	s.m.modelVersion.Set(1)
-	for _, ep := range endpoints {
-		// FastBuckets: a request is a handful of sub-millisecond GEMM
-		// tiles; DefBuckets' 100µs floor would flatten the distribution.
-		s.m.seconds[ep] = r.Histogram("serve_"+ep+"_seconds",
-			"wall-clock of /v1/"+ep+" requests", obs.FastBuckets)
-	}
 	return s, nil
 }
 
-// ScoredItem is one (id, score) pair in a ranked response list.
-type ScoredItem struct {
-	Item  int     `json:"item"`
-	Score float64 `json:"score"`
-}
-
-// Handler returns the full serving surface: the five /v1 routes wrapped
-// in the lifecycle layer (recovery → in-flight accounting → load
-// shedding → request tracing → deadline injection → per-endpoint
-// instrumentation), plus — when request tracing is on — the
-// /debug/requests diagnostic routes over the trace retention ring.
+// Handler returns the full serving surface: the six /v1 routes, each
+// with its latency histogram and status counters, wrapped in the shared
+// request lifecycle (recovery → in-flight accounting → load shedding →
+// deadline stamping → request tracing), plus — when request tracing is
+// on — the /debug/requests diagnostic routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/recommend", s.instrument("recommend", s.handleRecommend))
-	mux.Handle("GET /v1/similar", s.instrument("similar", s.handleSimilar))
-	mux.Handle("POST /v1/score", s.instrument("score", s.handleScore))
-	mux.Handle("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
-	mux.Handle("GET /v1/info", s.instrument("info", s.handleInfo))
-	mux.Handle("POST /v1/reload", s.instrument("reload", s.handleReload))
-	if s.tlog != nil {
-		mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-		mux.HandleFunc("GET /debug/requests/{id}", s.handleDebugRequest)
+	mux.Handle("POST /v1/recommend", s.lc.Instrument("recommend", s.handleRecommend))
+	mux.Handle("GET /v1/similar", s.lc.Instrument("similar", s.handleSimilar))
+	mux.Handle("POST /v1/score", s.lc.Instrument("score", s.handleScore))
+	mux.Handle("GET /v1/healthz", s.lc.Instrument("healthz", s.handleHealthz))
+	mux.Handle("GET /v1/info", s.lc.Instrument("info", s.handleInfo))
+	mux.Handle("POST /v1/reload", s.lc.Instrument("reload", s.handleReload))
+	return s.lc.Handler(mux)
+}
+
+// testCheckpoint, when non-nil, replaces the deadline-derived scoring
+// checkpoint — the deterministic truncation hook for tests, which
+// cannot otherwise make a wall-clock budget expire between two specific
+// GEMM tiles. Never set outside _test files.
+var testCheckpoint func() func() error
+
+// checkpoint returns the cooperative cancellation hook scoring loops
+// call between GEMM tiles: nil when the request carries no deadline, so
+// the scorer skips the clock entirely.
+func checkpoint(r *http.Request) func() error {
+	if testCheckpoint != nil {
+		return testCheckpoint()
 	}
-	return s.lifecycle(mux)
+	dl, ok := r.Context().Deadline()
+	if !ok {
+		return nil
+	}
+	return func() error { return budget.Check(dl) }
 }
 
 // --- /v1/recommend -------------------------------------------------
 
-type recommendRequest struct {
-	// Users lists the users to recommend for; User is the single-user
-	// convenience form (exactly one of the two must be set).
-	Users []int `json:"users"`
-	User  *int  `json:"user"`
-	// N is the list length; 0 selects the server default.
-	N int `json:"n"`
-	// MaskTrain excludes the user's training items (requires the server
-	// to have been started with a training graph); defaults to true
-	// when a training graph is loaded.
-	MaskTrain *bool `json:"mask_train"`
-	// Mode selects the retrieval path: "exact" (default) scores every
-	// item through the GEMM scorer; "approx" prunes candidates through
-	// the cluster index (requires the server to have been started with
-	// one). The response echoes the choice in X-Retrieval-Mode.
-	Mode string `json:"mode"`
-	// Nprobe is the cluster count an approx request scans; 0 selects the
-	// index default, values above the cluster count clamp to it (a full
-	// probe reproduces the exact scorer). Only valid with mode approx.
-	Nprobe int `json:"nprobe"`
-}
-
-type UserRecommendation struct {
-	User   int          `json:"user"`
-	Items  []ScoredItem `json:"items"`
-	Cached bool         `json:"cached,omitempty"`
-}
-
-type RecommendResponse struct {
-	N       int                  `json:"n"`
-	Results []UserRecommendation `json:"results"`
-	// Truncated reports that the per-request budget expired mid-scoring
-	// and only a prefix of the batch was ranked: users whose lists were
-	// completed carry them, the rest have null items. Absent on complete
-	// responses, mirrored by the X-Gebe-Truncated header so callers can
-	// tell without parsing the body.
-	Truncated bool `json:"truncated,omitempty"`
-}
-
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req recommendRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	var req api.RecommendRequest
+	if _, err := api.Read(r, &req, s.limits); err != nil {
+		s.lc.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	users := req.Users
-	if req.User != nil {
-		if len(users) > 0 {
-			s.fail(w, http.StatusBadRequest, errors.New("set either user or users, not both"))
-			return
-		}
-		users = []int{*req.User}
-	}
-	if len(users) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("users is required and must be non-empty"))
-		return
-	}
-	if len(users) > s.cfg.MaxBatch {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d users exceeds limit %d", len(users), s.cfg.MaxBatch))
-		return
-	}
-	n, err := s.clampN(req.N)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+	users, n := req.Users, req.N
 	// One snapshot for the whole request: scores, masks, cache keys and
 	// the X-Model-Version header all come from the same model even if a
 	// swap lands mid-request.
@@ -290,21 +208,21 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	switch mode {
 	case modeExact, modeApprox:
 	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("mode must be %q or %q, got %q", modeExact, modeApprox, req.Mode))
+		s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("mode must be %q or %q, got %q", modeExact, modeApprox, req.Mode))
 		return
 	}
 	if req.Nprobe < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("nprobe must be non-negative, got %d", req.Nprobe))
+		s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("nprobe must be non-negative, got %d", req.Nprobe))
 		return
 	}
 	if req.Nprobe > 0 && mode != modeApprox {
-		s.fail(w, http.StatusBadRequest, errors.New("nprobe requires mode approx"))
+		s.lc.Fail(w, http.StatusBadRequest, errors.New("nprobe requires mode approx"))
 		return
 	}
 	nprobe := 0
 	if mode == modeApprox {
 		if m.ann == nil {
-			s.fail(w, http.StatusBadRequest, errors.New("approximate retrieval is not enabled on this server (-ann-clusters)"))
+			s.lc.Fail(w, http.StatusBadRequest, errors.New("approximate retrieval is not enabled on this server (-ann-clusters)"))
 			return
 		}
 		// Canonicalize before the cache: nprobe 0 and an explicit default
@@ -317,24 +235,24 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		mask = *req.MaskTrain
 	}
 	if mask && m.trainItems == nil {
-		s.fail(w, http.StatusBadRequest, errors.New("mask_train requested but the server has no training graph (-train)"))
+		s.lc.Fail(w, http.StatusBadRequest, errors.New("mask_train requested but the server has no training graph (-train)"))
 		return
 	}
 	for _, u := range users {
 		if u < 0 || u >= m.emb.U.Rows {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("user %d outside [0,%d)", u, m.emb.U.Rows))
+			s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("user %d outside [0,%d)", u, m.emb.U.Rows))
 			return
 		}
 	}
 
 	tr := obs.FromContext(r.Context())
 
-	resp := RecommendResponse{N: n, Results: make([]UserRecommendation, len(users))}
+	resp := api.RecommendResponse{N: n, Results: make([]api.UserRecommendation, len(users))}
 	// Prefill the user ids so a truncated response still names every
 	// requested user: unranked slots keep null items. A complete pass
 	// overwrites every slot, so complete responses are unchanged.
 	for i, u := range users {
-		resp.Results[i] = UserRecommendation{User: u}
+		resp.Results[i] = api.UserRecommendation{User: u}
 	}
 	// Serve cache hits first, then score the misses in one batched pass.
 	var missUsers []int
@@ -344,7 +262,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		key := cacheKey(m.version, u, n, mask, mode, nprobe)
 		if items, ok := s.cache.get(key); ok {
 			s.m.cacheHit.Inc()
-			resp.Results[i] = UserRecommendation{User: u, Items: items, Cached: true}
+			resp.Results[i] = api.UserRecommendation{User: u, Items: items, Cached: true}
 			continue
 		}
 		if s.cache != nil {
@@ -362,7 +280,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		// item side the whole batch actually touched.
 		retrSp := tr.StartSpan("retrieval").Set("mode", mode).
 			Set("nprobe", nprobe).Set("users", len(missUsers))
-		check := s.checkpoint(r)
+		check := checkpoint(r)
 		probed, scored := 0, 0
 		for mi, u := range missUsers {
 			if check != nil {
@@ -382,12 +300,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			})
 			probed += st.Probed
 			scored += st.Scored
-			items := make([]ScoredItem, len(ids))
+			items := make([]api.ScoredItem, len(ids))
 			for j, id := range ids {
-				items[j] = ScoredItem{Item: id, Score: scores[j]}
+				items[j] = api.ScoredItem{Item: id, Score: scores[j]}
 			}
 			s.cache.add(cacheKey(m.version, u, n, mask, mode, nprobe), items)
-			resp.Results[missSlots[mi]] = UserRecommendation{User: u, Items: items}
+			resp.Results[missSlots[mi]] = api.UserRecommendation{User: u, Items: items}
 		}
 		retrSp.Set("clusters", probed).Set("candidates", scored).End()
 	default:
@@ -397,7 +315,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			Set("users", len(missUsers)).
 			Set("tiles", (len(missUsers)+eval.TileUsers-1)/eval.TileUsers)
 		mi := 0
-		err := sc.ScoreCtx(r.Context(), missUsers, s.checkpoint(r), func(u int, scores []float64) {
+		err := sc.ScoreCtx(r.Context(), missUsers, checkpoint(r), func(u int, scores []float64) {
 			// The rank span covers training-edge masking plus top-N
 			// selection; it nests under "score" beside the scorer's
 			// per-tile "score.tile" spans.
@@ -407,19 +325,19 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 				skip = m.trainItems[u]
 			}
 			ids := eval.TopNIndices(scores, n, skip)
-			items := make([]ScoredItem, len(ids))
+			items := make([]api.ScoredItem, len(ids))
 			for j, id := range ids {
-				items[j] = ScoredItem{Item: id, Score: scores[id]}
+				items[j] = api.ScoredItem{Item: id, Score: scores[id]}
 			}
 			s.cache.add(cacheKey(m.version, u, n, mask, mode, nprobe), items)
-			resp.Results[missSlots[mi]] = UserRecommendation{User: u, Items: items}
+			resp.Results[missSlots[mi]] = api.UserRecommendation{User: u, Items: items}
 			mi++
 			rankSp.End()
 		})
 		scoreSp.End()
 		if err != nil {
 			if !errors.Is(err, budget.ErrExceeded) {
-				s.fail(w, http.StatusInternalServerError, err)
+				s.lc.Fail(w, http.StatusInternalServerError, err)
 				return
 			}
 			// Budget gone between tiles: the mi users already emitted carry
@@ -429,10 +347,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Truncated {
 		s.m.truncated.Inc()
-		w.Header().Set(TruncatedHeader, "true")
+		w.Header().Set(api.TruncatedHeader, "true")
 	}
 	encodeSp := tr.StartSpan("encode")
-	s.writeJSON(w, http.StatusOK, resp)
+	s.lc.WriteJSON(w, http.StatusOK, resp)
 	encodeSp.End()
 }
 
@@ -443,21 +361,6 @@ const (
 	modeApprox = "approx"
 
 	retrievalModeHeader = "X-Retrieval-Mode"
-)
-
-// Cross-process protocol headers, exported for the scatter/gather
-// coordinator (internal/shard) that fronts a fleet of these servers.
-const (
-	// TruncatedHeader marks a 200 recommend response whose batch was only
-	// partially ranked before the budget expired ("true" when set). The
-	// coordinator propagates it upward when any shard degrades.
-	TruncatedHeader = "X-Gebe-Truncated"
-	// DeadlineHeader carries the caller's remaining compute budget in
-	// integer milliseconds. The lifecycle layer folds it into the
-	// request deadline (earliest of header and configured budget wins),
-	// so a coordinator's deadline bounds the whole scatter no matter how
-	// each shard is configured.
-	DeadlineHeader = "X-Gebe-Deadline-Ms"
 )
 
 // cacheKey scopes cached lists to the model version that produced them:
@@ -475,9 +378,9 @@ func cacheKey(version uint64, user, n int, mask bool, mode string, nprobe int) s
 // --- /v1/similar ---------------------------------------------------
 
 type similarResponse struct {
-	Side      string       `json:"side"`
-	ID        int          `json:"id"`
-	Neighbors []ScoredItem `json:"neighbors"`
+	Side      string           `json:"side"`
+	ID        int              `json:"id"`
+	Neighbors []api.ScoredItem `json:"neighbors"`
 }
 
 // handleSimilar ranks same-side neighbors by cosine similarity:
@@ -499,27 +402,27 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	case "v":
 		pool, norms = &m.vSimScorers, m.vNorms
 	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("side must be u or v, got %q", side))
+		s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("side must be u or v, got %q", side))
 		return
 	}
 	id, err := strconv.Atoi(q.Get("id"))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("id is required and must be an integer: %q", q.Get("id")))
+		s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("id is required and must be an integer: %q", q.Get("id")))
 		return
 	}
 	if id < 0 || id >= len(norms) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%s id %d outside [0,%d)", side, id, len(norms)))
+		s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("%s id %d outside [0,%d)", side, id, len(norms)))
 		return
 	}
 	n := 0
 	if raw := q.Get("n"); raw != "" {
 		if n, err = strconv.Atoi(raw); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad n %q", raw))
+			s.lc.Fail(w, http.StatusBadRequest, fmt.Errorf("bad n %q", raw))
 			return
 		}
 	}
-	if n, err = s.clampN(n); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	if n, err = s.limits.ClampN(n); err != nil {
+		s.lc.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -528,7 +431,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	defer pool.Put(sc)
 	resp := similarResponse{Side: side, ID: id}
 	scoreSp := tr.StartSpan("score").Set("side", side).Set("n", n)
-	err = sc.ScoreCtx(r.Context(), []int{id}, s.checkpoint(r), func(_ int, scores []float64) {
+	err = sc.ScoreCtx(r.Context(), []int{id}, checkpoint(r), func(_ int, scores []float64) {
 		rankSp := tr.StartSpan("rank")
 		for j := range scores {
 			// Zero-norm rows are isolated vertices: their all-zero embedding
@@ -548,9 +451,9 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		// Single-exclusion fast path: no per-request skip map just to
 		// drop the query vertex from its own neighbor list.
 		ids := eval.TopNIndicesExcluding(scores, n, id)
-		resp.Neighbors = make([]ScoredItem, len(ids))
+		resp.Neighbors = make([]api.ScoredItem, len(ids))
 		for j, nid := range ids {
-			resp.Neighbors[j] = ScoredItem{Item: nid, Score: scores[nid]}
+			resp.Neighbors[j] = api.ScoredItem{Item: nid, Score: scores[nid]}
 		}
 		rankSp.End()
 	})
@@ -560,40 +463,27 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	encodeSp := tr.StartSpan("encode")
-	s.writeJSON(w, http.StatusOK, resp)
+	s.lc.WriteJSON(w, http.StatusOK, resp)
 	encodeSp.End()
 }
 
 // --- /v1/score -----------------------------------------------------
 
-type scoreRequest struct {
-	// Pairs lists [u, v] index pairs to score.
-	Pairs [][2]int `json:"pairs"`
-}
-
-type scoreResponse struct {
-	Scores []float64 `json:"scores"`
-}
-
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req scoreRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Pairs) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("pairs is required and must be non-empty"))
-		return
-	}
-	if len(req.Pairs) > s.cfg.MaxBatch {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d pairs exceeds limit %d", len(req.Pairs), s.cfg.MaxBatch))
+	var req api.ScoreRequest
+	if _, err := api.Read(r, &req, s.limits); err != nil {
+		s.lc.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	m := s.model()
 	stampVersion(w, m)
+	if err := req.CheckRange(m.emb.U.Rows, m.emb.V.Rows); err != nil {
+		s.lc.Fail(w, http.StatusBadRequest, err)
+		return
+	}
 	tr := obs.FromContext(r.Context())
-	check := s.checkpoint(r)
-	out := scoreResponse{Scores: make([]float64, len(req.Pairs))}
+	check := checkpoint(r)
+	out := api.ScoreResponse{Scores: make([]float64, len(req.Pairs))}
 	scoreSp := tr.StartSpan("score").Set("pairs", len(req.Pairs))
 	for i, p := range req.Pairs {
 		if i%1024 == 0 && check != nil {
@@ -603,17 +493,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		u, v := p[0], p[1]
-		if u < 0 || u >= m.emb.U.Rows || v < 0 || v >= m.emb.V.Rows {
-			scoreSp.End()
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("pair %d: (%d,%d) outside %dx%d", i, u, v, m.emb.U.Rows, m.emb.V.Rows))
-			return
-		}
-		out.Scores[i] = m.emb.Score(u, v)
+		out.Scores[i] = m.emb.Score(p[0], p[1])
 	}
 	scoreSp.End()
 	encodeSp := tr.StartSpan("encode")
-	s.writeJSON(w, http.StatusOK, out)
+	s.lc.WriteJSON(w, http.StatusOK, out)
 	encodeSp.End()
 }
 
@@ -621,9 +505,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	stampVersion(w, s.model())
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.lc.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
-		"uptime_seconds": time.Since(s.start).Seconds(),
+		"uptime_seconds": s.lc.Uptime().Seconds(),
 	})
 }
 
@@ -655,7 +539,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 			"total":  m.emb.ShardTotal,
 		}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.lc.WriteJSON(w, http.StatusOK, map[string]any{
 		"ann":            annInfo,
 		"shard":          shardInfo,
 		"build":          obs.BuildInfo(),
@@ -677,7 +561,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		"cache_len":      s.cache.len(),
 		"max_inflight":   s.cfg.MaxInflight,
 		"deadline_ms":    s.cfg.Deadline.Milliseconds(),
-		"trace_requests": s.tlog.Cap(),
+		"trace_requests": s.lc.Traces().Cap(),
 	})
 }
 
@@ -699,21 +583,21 @@ type reloadResponse struct {
 // X-Model-Version header and the body carry the new version.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Reload == nil {
-		s.fail(w, http.StatusNotImplemented, errors.New("reload is not configured on this server"))
+		s.lc.Fail(w, http.StatusNotImplemented, errors.New("reload is not configured on this server"))
 		return
 	}
 	if s.cfg.AdminToken != "" && r.Header.Get("X-Admin-Token") != s.cfg.AdminToken {
-		s.fail(w, http.StatusForbidden, errors.New("reload requires a valid X-Admin-Token"))
+		s.lc.Fail(w, http.StatusForbidden, errors.New("reload requires a valid X-Admin-Token"))
 		return
 	}
 	v, err := s.Reload()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		s.lc.Fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	m := s.model()
 	stampVersion(w, m)
-	s.writeJSON(w, http.StatusOK, reloadResponse{
+	s.lc.WriteJSON(w, http.StatusOK, reloadResponse{
 		ModelVersion: v,
 		Method:       m.emb.Method,
 		Users:        m.emb.U.Rows,
@@ -731,59 +615,24 @@ func stampVersion(w http.ResponseWriter, m *model) {
 
 // --- shared helpers ------------------------------------------------
 
-// clampN applies the default and the upper bound to a requested list
-// length.
-func (s *Server) clampN(n int) (int, error) {
-	if n == 0 {
-		return s.cfg.DefaultN, nil
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("n must be positive, got %d", n)
-	}
-	if n > s.cfg.MaxN {
-		return 0, fmt.Errorf("n %d exceeds limit %d", n, s.cfg.MaxN)
-	}
-	return n, nil
-}
-
-// maxBody bounds request bodies; the largest legitimate payload is
-// MaxBatch score pairs, far under a megabyte.
-const maxBody = 1 << 20
-
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	s.writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
 // failBudget maps a blown per-request budget to 503 + Retry-After; any
 // other scoring error is a 500.
 func (s *Server) failBudget(w http.ResponseWriter, err error) {
 	if errors.Is(err, budget.ErrExceeded) {
 		s.m.deadlines.Inc()
 		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("request budget exceeded (%s)", s.cfg.Deadline))
+		s.lc.Fail(w, http.StatusServiceUnavailable, fmt.Errorf("request budget exceeded (%s)", s.cfg.Deadline))
 		return
 	}
-	s.fail(w, http.StatusInternalServerError, err)
+	s.lc.Fail(w, http.StatusInternalServerError, err)
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		s.cfg.Log.Warn("serve: encoding response", "err", err)
-	}
+// LatencySnapshot captures the server's current latency state.
+func (s *Server) LatencySnapshot() api.LatencySnapshot {
+	return s.lc.Snapshot(map[string]float64{
+		"shed":       s.lc.Shed(),
+		"deadline":   s.m.deadlines.Value(),
+		"cache_hit":  s.m.cacheHit.Value(),
+		"cache_miss": s.m.cacheMiss.Value(),
+	})
 }

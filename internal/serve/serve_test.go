@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gebe/internal/ann"
+	"gebe/internal/api"
 	"gebe/internal/bigraph"
 	"gebe/internal/budget"
 	"gebe/internal/core"
@@ -89,7 +90,7 @@ func TestRecommendMatchesEvalScorer(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	resp := decode[RecommendResponse](t, w)
+	resp := decode[api.RecommendResponse](t, w)
 	if resp.N != 6 || len(resp.Results) != 3 {
 		t.Fatalf("response shape: %+v", resp)
 	}
@@ -118,7 +119,7 @@ func TestRecommendMatchesEvalScorer(t *testing.T) {
 
 	// mask_train=false must surface the raw ranking.
 	w = postJSON(t, h, "/v1/recommend", `{"user":0,"n":4,"mask_train":false}`)
-	resp = decode[RecommendResponse](t, w)
+	resp = decode[api.RecommendResponse](t, w)
 	ids, _ := sc.TopN(0, 4, nil)
 	for j, it := range resp.Results[0].Items {
 		if it.Item != ids[j] {
@@ -146,7 +147,7 @@ func TestRecommendValidation(t *testing.T) {
 	for _, tc := range cases {
 		if w := postJSON(t, h, "/v1/recommend", tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, w.Code, w.Body)
-		} else if decode[errorResponse](t, w).Error == "" {
+		} else if decode[api.ErrorResponse](t, w).Error == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
 	}
@@ -177,13 +178,13 @@ func TestRecommendCache(t *testing.T) {
 	s, reg := newTestServer(t, Config{CacheSize: 8})
 	h := s.Handler()
 	body := `{"users":[3,4],"n":5}`
-	first := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
+	first := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
 	for _, r := range first.Results {
 		if r.Cached {
 			t.Errorf("first request reported cached for user %d", r.User)
 		}
 	}
-	second := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
+	second := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
 	for i, r := range second.Results {
 		if !r.Cached {
 			t.Errorf("second request not cached for user %d", r.User)
@@ -199,7 +200,7 @@ func TestRecommendCache(t *testing.T) {
 		t.Errorf("cache misses = %v, want 2", misses)
 	}
 	// A different n is a different cache entry.
-	third := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", `{"users":[3],"n":2}`))
+	third := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", `{"users":[3],"n":2}`))
 	if third.Results[0].Cached {
 		t.Error("different n answered from cache")
 	}
@@ -330,7 +331,7 @@ func TestScorePairs(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	resp := decode[scoreResponse](t, w)
+	resp := decode[api.ScoreResponse](t, w)
 	emb := s.model().emb
 	want := []float64{emb.Score(0, 1), emb.Score(5, 10), emb.Score(19, 34)}
 	if len(resp.Scores) != len(want) {
@@ -401,10 +402,10 @@ func TestDeadline503(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("recommend under blown budget: status %d, want 200: %s", w.Code, w.Body)
 	}
-	if w.Header().Get(TruncatedHeader) != "true" {
-		t.Errorf("recommend under blown budget: missing %s header", TruncatedHeader)
+	if w.Header().Get(api.TruncatedHeader) != "true" {
+		t.Errorf("recommend under blown budget: missing %s header", api.TruncatedHeader)
 	}
-	resp := decode[RecommendResponse](t, w)
+	resp := decode[api.RecommendResponse](t, w)
 	if !resp.Truncated {
 		t.Error("recommend under blown budget: truncated flag not set")
 	}
@@ -461,10 +462,10 @@ func TestRecommendTruncatedMidBatch(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("status %d, want 200: %s", w.Code, w.Body)
 			}
-			if w.Header().Get(TruncatedHeader) != "true" {
-				t.Errorf("missing %s header", TruncatedHeader)
+			if w.Header().Get(api.TruncatedHeader) != "true" {
+				t.Errorf("missing %s header", api.TruncatedHeader)
 			}
-			resp := decode[RecommendResponse](t, w)
+			resp := decode[api.RecommendResponse](t, w)
 			if !resp.Truncated {
 				t.Error("truncated flag not set")
 			}
@@ -553,7 +554,7 @@ func TestDeadlineHeader(t *testing.T) {
 	send := func(path, body, header string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", path, strings.NewReader(body))
 		if header != "" {
-			req.Header.Set(DeadlineHeader, header)
+			req.Header.Set(api.DeadlineHeader, header)
 		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
@@ -561,11 +562,11 @@ func TestDeadlineHeader(t *testing.T) {
 	}
 	// An already-spent caller budget expires the request immediately:
 	// recommend degrades to truncated, similar stays a 503.
-	if w := send("/v1/recommend", `{"user":1}`, "0"); w.Code != http.StatusOK || w.Header().Get(TruncatedHeader) != "true" {
-		t.Errorf("spent header budget: status %d truncated %q, want 200/true", w.Code, w.Header().Get(TruncatedHeader))
+	if w := send("/v1/recommend", `{"user":1}`, "0"); w.Code != http.StatusOK || w.Header().Get(api.TruncatedHeader) != "true" {
+		t.Errorf("spent header budget: status %d truncated %q, want 200/true", w.Code, w.Header().Get(api.TruncatedHeader))
 	}
 	req := httptest.NewRequest("GET", "/v1/similar?id=1", nil)
-	req.Header.Set(DeadlineHeader, "0")
+	req.Header.Set(api.DeadlineHeader, "0")
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusServiceUnavailable {
@@ -574,8 +575,8 @@ func TestDeadlineHeader(t *testing.T) {
 	// A generous budget and a malformed value both leave the request
 	// unconstrained.
 	for _, hv := range []string{"60000", "soon", ""} {
-		if w := send("/v1/recommend", `{"user":1}`, hv); w.Code != http.StatusOK || w.Header().Get(TruncatedHeader) != "" {
-			t.Errorf("header %q: status %d truncated %q, want clean 200", hv, w.Code, w.Header().Get(TruncatedHeader))
+		if w := send("/v1/recommend", `{"user":1}`, hv); w.Code != http.StatusOK || w.Header().Get(api.TruncatedHeader) != "" {
+			t.Errorf("header %q: status %d truncated %q, want clean 200", hv, w.Code, w.Header().Get(api.TruncatedHeader))
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gebe/internal/api"
 	"gebe/internal/bigraph"
 	"gebe/internal/core"
 	"gebe/internal/dense"
@@ -35,7 +36,7 @@ func altEmbedding(t testing.TB) *core.Embedding {
 
 // expectTopN computes the reference recommendation list for one user
 // directly through the eval scorer over a given embedding.
-func expectTopN(emb *core.Embedding, g *bigraph.Graph, user, n int) []ScoredItem {
+func expectTopN(emb *core.Embedding, g *bigraph.Graph, user, n int) []api.ScoredItem {
 	sc := eval.NewScorer(emb.U, emb.V)
 	var skip map[int]bool
 	if g != nil {
@@ -47,9 +48,9 @@ func expectTopN(emb *core.Embedding, g *bigraph.Graph, user, n int) []ScoredItem
 		}
 	}
 	ids, scores := sc.TopN(user, n, skip)
-	items := make([]ScoredItem, len(ids))
+	items := make([]api.ScoredItem, len(ids))
 	for j := range ids {
-		items[j] = ScoredItem{Item: ids[j], Score: scores[j]}
+		items[j] = api.ScoredItem{Item: ids[j], Score: scores[j]}
 	}
 	return items
 }
@@ -102,8 +103,8 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	alt := altEmbedding(t)
 
 	body := `{"users":[3],"n":5}`
-	first := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
-	warm := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
+	first := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
+	warm := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
 	if !warm.Results[0].Cached {
 		t.Fatal("second identical query not cached before swap")
 	}
@@ -115,7 +116,7 @@ func TestSwapInvalidatesCache(t *testing.T) {
 		t.Errorf("cache holds %d entries after swap, want 0", s.cache.len())
 	}
 
-	after := decode[RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
+	after := decode[api.RecommendResponse](t, postJSON(t, h, "/v1/recommend", body))
 	if after.Results[0].Cached {
 		t.Fatal("stale cache hit served after model swap")
 	}
@@ -235,7 +236,7 @@ func TestReloadEndpoint(t *testing.T) {
 		if w.Code != http.StatusInternalServerError {
 			t.Errorf("status %d, want 500", w.Code)
 		}
-		if !strings.Contains(decode[errorResponse](t, w).Error, "disk on fire") {
+		if !strings.Contains(decode[api.ErrorResponse](t, w).Error, "disk on fire") {
 			t.Error("loader error not surfaced")
 		}
 		if s.ModelVersion() != 1 {
@@ -275,7 +276,7 @@ func TestConcurrentSwapAndQuery(t *testing.T) {
 
 	// Version v serves embA when odd (New started at 1 with embA), embB
 	// when even — the swap loop below alternates strictly.
-	wantByParity := map[int][]ScoredItem{
+	wantByParity := map[int][]api.ScoredItem{
 		1: expectTopN(embA, g, 3, 5),
 		0: expectTopN(embB, g, 3, 5),
 	}
@@ -301,7 +302,7 @@ func TestConcurrentSwapAndQuery(t *testing.T) {
 					errs <- "missing X-Model-Version"
 					continue
 				}
-				resp := RecommendResponse{}
+				resp := api.RecommendResponse{}
 				if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
 					errs <- err.Error()
 					continue

@@ -1,22 +1,20 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"gebe/internal/api"
 	"gebe/internal/budget"
 	"gebe/internal/eval"
 	"gebe/internal/obs"
-	"gebe/internal/serve"
 )
 
 // Config parameterizes a Coordinator. Shards is required; everything
@@ -70,12 +68,9 @@ type Config struct {
 // server bit for bit.
 type Coordinator struct {
 	cfg    Config
-	start  time.Time
+	lc     *api.Lifecycle
+	limits api.Limits
 	shards []*shardState
-
-	tlog      *obs.TraceLog
-	ridPrefix string
-	rid       atomic.Uint64
 
 	stop context.CancelFunc
 
@@ -83,8 +78,6 @@ type Coordinator struct {
 }
 
 type coordMetrics struct {
-	inflight        *obs.Gauge
-	panics          *obs.Counter
 	truncated       *obs.Counter
 	healthyShards   *obs.Gauge
 	versionMismatch *obs.Gauge
@@ -95,12 +88,7 @@ type coordMetrics struct {
 	scatterFailures *obs.Counter
 	hedges          *obs.Counter
 	retries         *obs.Counter
-	status          *obs.CounterVec
-	seconds         map[string]*obs.Histogram
 }
-
-// endpoints mirrors serve's instrumented route set.
-var endpoints = []string{"recommend", "similar", "score", "healthz", "info", "reload"}
 
 // New builds a Coordinator and synchronously probes every shard once,
 // so the first request already sees a live topology. Call Start to run
@@ -108,15 +96,6 @@ var endpoints = []string{"recommend", "similar", "score", "healthz", "info", "re
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: coordinator needs at least one shard URL")
-	}
-	if cfg.DefaultN <= 0 {
-		cfg.DefaultN = 10
-	}
-	if cfg.MaxN <= 0 {
-		cfg.MaxN = 1000
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1024
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
@@ -130,13 +109,19 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.DefaultRegistry()
 	}
-	c := &Coordinator{cfg: cfg, start: time.Now()}
-	c.tlog = obs.NewTraceLog(cfg.TraceRequests)
-	c.ridPrefix = fmt.Sprintf("%08x-", uint32(time.Now().UnixNano()))
+	// The coordinator does not shed (MaxInflight 0): it does ~no compute,
+	// and backpressure belongs on the shards, whose 429s degrade a gather
+	// the same way any shard error does.
+	c := &Coordinator{
+		cfg:    cfg,
+		limits: api.Limits{DefaultN: cfg.DefaultN, MaxN: cfg.MaxN, MaxBatch: cfg.MaxBatch}.WithDefaults(),
+		lc: api.New(api.Settings{
+			Component: "coord", Deadline: cfg.Deadline,
+			TraceRequests: cfg.TraceRequests, Metrics: cfg.Metrics, Log: cfg.Log,
+		}),
+	}
 	r := cfg.Metrics
 	c.m = coordMetrics{
-		inflight:        r.Gauge("coord_inflight", "requests currently being coordinated"),
-		panics:          r.Counter("coord_panics_total", "handler panics recovered to 500"),
 		truncated:       r.Counter("coord_truncated_total", "gathers answered partially (shard down, failed, or shard-side truncation)"),
 		healthyShards:   r.Gauge("shard_healthy", "shards currently in the healthy set"),
 		versionMismatch: r.Gauge("shard_version_mismatch", "1 when healthy shards disagree on model version (coordinator not ready)"),
@@ -147,12 +132,6 @@ func New(cfg Config) (*Coordinator, error) {
 		scatterFailures: r.Counter("shard_scatter_failures_total", "shard calls that failed after retry/hedging"),
 		hedges:          r.Counter("shard_hedge_total", "hedged second requests launched"),
 		retries:         r.Counter("shard_retry_total", "transport-error retries launched"),
-		status:          r.CounterVec("coord_status", "responses per endpoint and status code"),
-		seconds:         make(map[string]*obs.Histogram, len(endpoints)),
-	}
-	for _, ep := range endpoints {
-		c.m.seconds[ep] = r.Histogram("coord_"+ep+"_seconds",
-			"wall-clock of coordinated /v1/"+ep+" requests", obs.FastBuckets)
 	}
 	cm := &clientMetrics{hedges: c.m.hedges, retries: c.m.retries}
 	hc := &http.Client{} // per-call contexts bound every request; no global timeout
@@ -182,21 +161,20 @@ func (c *Coordinator) Close() {
 }
 
 // Handler returns the coordinator's serving surface: the same /v1
-// routes an unsharded gebe-serve exposes, wrapped in the lifecycle
-// layer, plus /debug/requests when tracing is on.
+// routes an unsharded gebe-serve exposes, wrapped in the shared request
+// lifecycle, plus /debug/requests when tracing is on. Deadline stamping
+// runs before the mux so the context deadline bounds the whole scatter;
+// scatterHeaders re-derives the remaining budget at fan-out time, so
+// shard calls never get more time than the coordinator has left.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/recommend", c.instrument("recommend", c.handleRecommend))
-	mux.Handle("GET /v1/similar", c.instrument("similar", c.handleSimilar))
-	mux.Handle("POST /v1/score", c.instrument("score", c.handleScore))
-	mux.Handle("GET /v1/healthz", c.instrument("healthz", c.handleHealthz))
-	mux.Handle("GET /v1/info", c.instrument("info", c.handleInfo))
-	mux.Handle("POST /v1/reload", c.instrument("reload", c.handleReload))
-	if c.tlog != nil {
-		mux.HandleFunc("GET /debug/requests", c.handleDebugRequests)
-		mux.HandleFunc("GET /debug/requests/{id}", c.handleDebugRequest)
-	}
-	return c.lifecycle(mux)
+	mux.Handle("POST /v1/recommend", c.lc.Instrument("recommend", c.handleRecommend))
+	mux.Handle("GET /v1/similar", c.lc.Instrument("similar", c.handleSimilar))
+	mux.Handle("POST /v1/score", c.lc.Instrument("score", c.handleScore))
+	mux.Handle("GET /v1/healthz", c.lc.Instrument("healthz", c.handleHealthz))
+	mux.Handle("GET /v1/info", c.lc.Instrument("info", c.handleInfo))
+	mux.Handle("POST /v1/reload", c.lc.Instrument("reload", c.handleReload))
+	return c.lc.Handler(mux)
 }
 
 // healthyShards returns a stable snapshot of the currently healthy,
@@ -221,7 +199,7 @@ func scatterHeaders(r *http.Request) http.Header {
 	}
 	if dl, ok := r.Context().Deadline(); ok {
 		ms := budget.Remaining(dl).Milliseconds()
-		h.Set(serve.DeadlineHeader, strconv.FormatInt(ms, 10))
+		h.Set(api.DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
 	return h
 }
@@ -233,16 +211,14 @@ type shardCall struct {
 	err   error
 }
 
-// scatter fans body out to every listed shard concurrently and gathers
-// all results. Each shard call is hedged/retried by its Client; a call
-// that still fails counts toward the shard's ejection threshold. The
-// parent span gets one detached child per shard, so concurrent shard
-// spans cannot close each other.
-func (c *Coordinator) scatter(r *http.Request, shards []snapshotState, method, path string, body []byte, parent *obs.Span) []shardCall {
+// scatter POSTs the JSON bodies[i] to shards[i], all concurrently, and
+// gathers every result. Each shard call is hedged/retried by its
+// Client; a call that still fails counts toward the shard's ejection
+// threshold. The parent span gets one detached child per shard, so
+// concurrent shard spans cannot close each other.
+func (c *Coordinator) scatter(r *http.Request, shards []snapshotState, path string, bodies [][]byte, parent *obs.Span) []shardCall {
 	hdr := scatterHeaders(r)
-	if body != nil {
-		hdr.Set("Content-Type", "application/json")
-	}
+	hdr.Set("Content-Type", "application/json")
 	calls := make([]shardCall, len(shards))
 	var wg sync.WaitGroup
 	for i, st := range shards {
@@ -251,11 +227,11 @@ func (c *Coordinator) scatter(r *http.Request, shards []snapshotState, method, p
 			defer wg.Done()
 			sp := parent.StartChild("shard").Set("addr", st.addr)
 			c.m.scatterCalls.Inc()
-			resp, err := c.shards[c.indexOf(st.addr)].client.Do(r.Context(), method, path, hdr, body)
+			resp, err := st.src.client.Do(r.Context(), http.MethodPost, path, hdr, bodies[i])
 			calls[i] = shardCall{shard: st, resp: resp, err: err}
 			if err != nil {
 				c.m.scatterFailures.Inc()
-				c.noteFailure(c.shards[c.indexOf(st.addr)], err)
+				c.noteFailure(st.src, err)
 				sp.Set("err", err.Error())
 			} else {
 				sp.Set("status", resp.Status)
@@ -267,64 +243,20 @@ func (c *Coordinator) scatter(r *http.Request, shards []snapshotState, method, p
 	return calls
 }
 
-// indexOf maps a shard address back to its state slot.
-func (c *Coordinator) indexOf(addr string) int {
-	for i, s := range c.shards {
-		if s.addr == addr {
-			return i
-		}
-	}
-	panic("shard: unknown address " + addr)
-}
-
 // --- /v1/recommend -------------------------------------------------
 
-// recommendRequest mirrors the fields the coordinator must read to
-// merge; the body itself is forwarded to shards verbatim, so any field
-// the coordinator does not understand is still honored shard-side.
-type recommendRequest struct {
-	Users     []int  `json:"users"`
-	User      *int   `json:"user"`
-	N         int    `json:"n"`
-	MaskTrain *bool  `json:"mask_train"`
-	Mode      string `json:"mode"`
-	Nprobe    int    `json:"nprobe"`
-}
-
+// handleRecommend validates what needs no model, then forwards the
+// body to every shard verbatim — the model-dependent checks (user
+// range, mode, nprobe, mask_train) happen shard-side and their 400s are
+// proxied.
 func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	var req api.RecommendRequest
+	body, err := api.Read(r, &req, c.limits)
 	if err != nil {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		c.lc.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	var req recommendRequest
-	dec := json.NewDecoder(bytesReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	users := req.Users
-	if req.User != nil {
-		if len(users) > 0 {
-			c.fail(w, http.StatusBadRequest, errors.New("set either user or users, not both"))
-			return
-		}
-		users = []int{*req.User}
-	}
-	if len(users) == 0 {
-		c.fail(w, http.StatusBadRequest, errors.New("users is required and must be non-empty"))
-		return
-	}
-	if len(users) > c.cfg.MaxBatch {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d users exceeds limit %d", len(users), c.cfg.MaxBatch))
-		return
-	}
-	n, err := c.clampN(req.N)
-	if err != nil {
-		c.fail(w, http.StatusBadRequest, err)
-		return
-	}
+	users, n := req.Users, req.N
 	shards := c.healthyShards()
 	if len(shards) == 0 {
 		c.failUnavailable(w, errors.New("no healthy shards"))
@@ -334,12 +266,16 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 	tr := obs.FromContext(r.Context())
 	scatterSp := tr.StartSpan("scatter").Set("shards", len(shards)).Set("users", len(users))
-	calls := c.scatter(r, shards, http.MethodPost, "/v1/recommend", body, scatterSp)
+	bodies := make([][]byte, len(shards))
+	for i := range bodies {
+		bodies[i] = body
+	}
+	calls := c.scatter(r, shards, "/v1/recommend", bodies, scatterSp)
 	scatterSp.End()
 
 	// Classify: a 400 means the request itself is bad — every shard saw
 	// the same bytes, so the first 400 is THE answer, proxied verbatim.
-	gathered := make([]*serve.RecommendResponse, 0, len(calls))
+	gathered := make([]*api.RecommendResponse, 0, len(calls))
 	truncated := len(calls) < len(c.shards) // ejected shards contribute nothing
 	for _, call := range calls {
 		switch {
@@ -351,7 +287,7 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		case call.resp.Status != http.StatusOK:
 			truncated = true
 		default:
-			var sr serve.RecommendResponse
+			var sr api.RecommendResponse
 			if err := json.Unmarshal(call.resp.Body, &sr); err != nil {
 				truncated = true
 				continue
@@ -375,10 +311,10 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	gatherSp := tr.StartSpan("gather").Set("responses", len(gathered))
-	resp := serve.RecommendResponse{N: n, Results: make([]serve.UserRecommendation, len(users))}
+	resp := api.RecommendResponse{N: n, Results: make([]api.UserRecommendation, len(users))}
 	var heap eval.TopNHeap
 	for i, u := range users {
-		resp.Results[i] = serve.UserRecommendation{User: u}
+		resp.Results[i] = api.UserRecommendation{User: u}
 		heap.Reset(n)
 		contributed := 0
 		for _, sr := range gathered {
@@ -397,9 +333,9 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			continue // prefilled null items mark the user unanswered
 		}
 		ids, scores := heap.Ranked()
-		items := make([]serve.ScoredItem, len(ids))
+		items := make([]api.ScoredItem, len(ids))
 		for j := range ids {
-			items[j] = serve.ScoredItem{Item: ids[j], Score: scores[j]}
+			items[j] = api.ScoredItem{Item: ids[j], Score: scores[j]}
 		}
 		resp.Results[i].Items = items
 	}
@@ -407,26 +343,21 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	gatherSp.Set("truncated", truncated).End()
 	if truncated {
 		c.m.truncated.Inc()
-		w.Header().Set(serve.TruncatedHeader, "true")
+		w.Header().Set(api.TruncatedHeader, "true")
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	c.lc.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- /v1/similar ---------------------------------------------------
 
 // handleSimilar proxies side=u queries to one healthy shard verbatim —
-// every shard holds the full user matrix, so any shard's answer is the
-// unsharded answer byte for byte. side=v would need a cross-shard
+// every shard holds the full user matrix, so any shard's answer (its
+// 400s included) is the unsharded answer byte for byte. side=v would need a cross-shard
 // cosine gather over rows no single process holds; it is explicitly
 // unimplemented on a sharded deployment (501).
 func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	side := r.URL.Query().Get("side")
-	if side != "" && side != "u" && side != "v" {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("side must be u or v, got %q", side))
-		return
-	}
-	if side == "v" {
-		c.fail(w, http.StatusNotImplemented,
+	if r.URL.Query().Get("side") == "v" {
+		c.lc.Fail(w, http.StatusNotImplemented,
 			errors.New("item-side similarity is not available on a sharded deployment (items are partitioned across shards)"))
 		return
 	}
@@ -445,11 +376,11 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	for _, st := range shards {
 		sp := tr.StartSpan("proxy").Set("addr", st.addr)
 		c.m.scatterCalls.Inc()
-		resp, err := c.shards[c.indexOf(st.addr)].client.Do(r.Context(), http.MethodGet, path, hdr, nil)
+		resp, err := st.src.client.Do(r.Context(), http.MethodGet, path, hdr, nil)
 		sp.End()
 		if err != nil {
 			c.m.scatterFailures.Inc()
-			c.noteFailure(c.shards[c.indexOf(st.addr)], err)
+			c.noteFailure(st.src, err)
 			continue
 		}
 		c.proxyResponse(w, resp)
@@ -460,40 +391,13 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 
 // --- /v1/score -----------------------------------------------------
 
-type scoreRequest struct {
-	Pairs [][2]int `json:"pairs"`
-}
-
-// scoreResponse extends serve's {"scores": [...]} with degradation
-// markers; both extras are omitempty, so a full-health response is
-// byte-identical to an unsharded server's.
-type scoreResponse struct {
-	Scores []float64 `json:"scores"`
-	// Missing lists pair indices whose owning shard was down or failed;
-	// their scores are 0.
-	Missing   []int `json:"missing,omitempty"`
-	Truncated bool  `json:"truncated,omitempty"`
-}
-
+// handleScore routes each pair to the shard owning its item row. A
+// complete answer is byte-identical to an unsharded server's; pairs
+// whose shard is down come back as 0 and are listed in "missing".
 func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-	if err != nil {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	var req scoreRequest
-	dec := json.NewDecoder(bytesReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if len(req.Pairs) == 0 {
-		c.fail(w, http.StatusBadRequest, errors.New("pairs is required and must be non-empty"))
-		return
-	}
-	if len(req.Pairs) > c.cfg.MaxBatch {
-		c.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d pairs exceeds limit %d", len(req.Pairs), c.cfg.MaxBatch))
+	var req api.ScoreRequest
+	if _, err := api.Read(r, &req, c.limits); err != nil {
+		c.lc.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	shards := c.healthyShards()
@@ -502,22 +406,21 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.stampVersion(w, shards)
-	users, total := c.dimensions(shards)
-	// Validate globally before scattering, mirroring serve's message.
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= users || p[1] < 0 || p[1] >= total {
-			c.fail(w, http.StatusBadRequest, fmt.Errorf("pair %d: (%d,%d) outside %dx%d", i, p[0], p[1], users, total))
-			return
-		}
+	// Check ranges against the whole fleet before scattering; shards only
+	// ever see their own (in-range) rows.
+	if err := req.CheckRange(c.dimensions(shards)); err != nil {
+		c.lc.Fail(w, http.StatusBadRequest, err)
+		return
 	}
 
-	// Group pairs by owning shard, remapping item ids to local rows.
+	// Group pairs by owning shard, remapping item ids to local rows;
+	// indices maps each group's pairs back to request slots.
 	type group struct {
-		shard   snapshotState
 		pairs   [][2]int
 		indices []int
 	}
-	groups := make(map[string]*group)
+	var owners []snapshotState
+	var groups []*group
 	var missing []int
 	for i, p := range req.Pairs {
 		owner := ownerOf(shards, p[1])
@@ -525,77 +428,51 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
 			missing = append(missing, i)
 			continue
 		}
-		g := groups[owner.addr]
-		if g == nil {
-			g = &group{shard: *owner}
-			groups[owner.addr] = g
+		k := slices.IndexFunc(owners, func(o snapshotState) bool { return o.addr == owner.addr })
+		if k < 0 {
+			k = len(owners)
+			owners, groups = append(owners, *owner), append(groups, &group{})
 		}
-		g.pairs = append(g.pairs, [2]int{p[0], p[1] - owner.offset})
-		g.indices = append(g.indices, i)
+		groups[k].pairs = append(groups[k].pairs, [2]int{p[0], p[1] - owner.offset})
+		groups[k].indices = append(groups[k].indices, i)
+	}
+	bodies := make([][]byte, len(groups))
+	for k, g := range groups {
+		bodies[k], _ = json.Marshal(api.ScoreRequest{Pairs: g.pairs})
 	}
 
 	tr := obs.FromContext(r.Context())
-	scatterSp := tr.StartSpan("scatter").Set("shards", len(groups)).Set("pairs", len(req.Pairs))
-	resp := scoreResponse{Scores: make([]float64, len(req.Pairs))}
-	var mu sync.Mutex
-	var bad *Response
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			sp := scatterSp.StartChild("shard").Set("addr", g.shard.addr).Set("pairs", len(g.pairs))
-			defer sp.End()
-			gb, _ := json.Marshal(scoreRequest{Pairs: g.pairs})
-			c.m.scatterCalls.Inc()
-			sres, err := c.shards[c.indexOf(g.shard.addr)].client.Do(r.Context(), http.MethodPost, "/v1/score", scatterHeadersJSON(r), gb)
-			if err != nil || sres.Status != http.StatusOK {
-				if err != nil {
-					c.m.scatterFailures.Inc()
-					c.noteFailure(c.shards[c.indexOf(g.shard.addr)], err)
-				}
-				mu.Lock()
-				if err == nil && sres.Status == http.StatusBadRequest && bad == nil {
-					bad = sres
-				}
-				missing = append(missing, g.indices...)
-				mu.Unlock()
-				return
-			}
-			var out struct {
-				Scores []float64 `json:"scores"`
-			}
-			if jerr := json.Unmarshal(sres.Body, &out); jerr != nil || len(out.Scores) != len(g.pairs) {
-				mu.Lock()
-				missing = append(missing, g.indices...)
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			for k, idx := range g.indices {
-				resp.Scores[idx] = out.Scores[k]
-			}
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
+	scatterSp := tr.StartSpan("scatter").Set("shards", len(owners)).Set("pairs", len(req.Pairs))
+	calls := c.scatter(r, owners, "/v1/score", bodies, scatterSp)
 	scatterSp.End()
-	if bad != nil {
-		c.proxyResponse(w, bad)
-		return
+	resp := api.ScoreResponse{Scores: make([]float64, len(req.Pairs))}
+	for k, call := range calls {
+		if call.err == nil && call.resp.Status == http.StatusBadRequest {
+			c.proxyResponse(w, call.resp)
+			return
+		}
+		var out api.ScoreResponse
+		if call.err != nil || call.resp.Status != http.StatusOK ||
+			json.Unmarshal(call.resp.Body, &out) != nil || len(out.Scores) != len(groups[k].pairs) {
+			missing = append(missing, groups[k].indices...)
+			continue
+		}
+		for j, idx := range groups[k].indices {
+			resp.Scores[idx] = out.Scores[j]
+		}
 	}
 	if len(missing) == len(req.Pairs) {
 		c.failUnavailable(w, errors.New("all shards failed"))
 		return
 	}
 	if len(missing) > 0 {
-		sortInts(missing)
+		slices.Sort(missing)
 		resp.Missing = missing
 		resp.Truncated = true
 		c.m.truncated.Inc()
-		w.Header().Set(serve.TruncatedHeader, "true")
+		w.Header().Set(api.TruncatedHeader, "true")
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	c.lc.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ownerOf finds the healthy shard whose row slice covers global item v.
@@ -636,11 +513,11 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		if healthy < len(c.shards) {
 			status = "degraded"
 		}
-		c.writeJSON(w, http.StatusOK, map[string]any{
+		c.lc.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":         status,
 			"shards_healthy": healthy,
 			"shards_total":   len(c.shards),
-			"uptime_seconds": time.Since(c.start).Seconds(),
+			"uptime_seconds": c.lc.Uptime().Seconds(),
 		})
 	}
 }
@@ -662,7 +539,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	}
 	healthy, mismatch := c.agreement()
 	users, total := c.dimensions(c.healthyShards())
-	c.writeJSON(w, http.StatusOK, map[string]any{
+	c.lc.WriteJSON(w, http.StatusOK, map[string]any{
 		"build":            obs.BuildInfo(),
 		"shards":           shards,
 		"shards_healthy":   healthy,
@@ -682,7 +559,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, _ *http.Request) {
 // new model — then reprobes so version agreement recovers immediately.
 func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 	if c.cfg.AdminToken != "" && r.Header.Get("X-Admin-Token") != c.cfg.AdminToken {
-		c.fail(w, http.StatusForbidden, errors.New("reload requires a valid X-Admin-Token"))
+		c.lc.Fail(w, http.StatusForbidden, errors.New("reload requires a valid X-Admin-Token"))
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -739,7 +616,7 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		code = http.StatusBadGateway
 	}
-	c.writeJSON(w, code, map[string]any{"ok": ok, "shards": results})
+	c.lc.WriteJSON(w, code, map[string]any{"ok": ok, "shards": results})
 }
 
 // reconcile repairs version skew a single fan-out cannot: a shard's
@@ -790,7 +667,7 @@ func (c *Coordinator) reconcile(ctx context.Context, hdr http.Header) {
 // and the serve headers that matter to clients. Used where one shard's
 // answer IS the coordinator's answer (similar proxy, propagated 400s).
 func (c *Coordinator) proxyResponse(w http.ResponseWriter, resp *Response) {
-	for _, k := range []string{"Content-Type", "X-Model-Version", "X-Retrieval-Mode", "Retry-After", serve.TruncatedHeader} {
+	for _, k := range []string{"Content-Type", "X-Model-Version", "X-Retrieval-Mode", "Retry-After", api.TruncatedHeader} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -815,43 +692,12 @@ func (c *Coordinator) stampVersion(w http.ResponseWriter, shards []snapshotState
 	w.Header().Set("X-Model-Version", v)
 }
 
-func (c *Coordinator) clampN(n int) (int, error) {
-	if n == 0 {
-		return c.cfg.DefaultN, nil
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("n must be positive, got %d", n)
-	}
-	if n > c.cfg.MaxN {
-		return 0, fmt.Errorf("n %d exceeds limit %d", n, c.cfg.MaxN)
-	}
-	return n, nil
-}
-
-const maxBody = 1 << 20
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (c *Coordinator) fail(w http.ResponseWriter, code int, err error) {
-	c.writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
 // failUnavailable is the coordinator's 503: the fleet cannot answer at
 // all (every shard down or the topology inconsistent). Partial fleet
 // failures never land here — they degrade to truncated 200s.
 func (c *Coordinator) failUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
-	c.fail(w, http.StatusServiceUnavailable, err)
-}
-
-func (c *Coordinator) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		c.cfg.Log.Warn("coord: encoding response", "err", err)
-	}
+	c.lc.Fail(w, http.StatusServiceUnavailable, err)
 }
 
 func truncateBody(b []byte) string {
@@ -862,19 +708,17 @@ func truncateBody(b []byte) string {
 	return string(b)
 }
 
-// scatterHeadersJSON is scatterHeaders plus the JSON content type.
-func scatterHeadersJSON(r *http.Request) http.Header {
-	h := scatterHeaders(r)
-	h.Set("Content-Type", "application/json")
-	return h
+// LatencySnapshot captures the coordinator's latency state in the
+// schema serve emits, so cmd/gebe-regress gates
+// results/COORD_LATENCY.json with the same latency mode.
+func (c *Coordinator) LatencySnapshot() api.LatencySnapshot {
+	return c.lc.Snapshot(map[string]float64{
+		"truncated":        c.m.truncated.Value(),
+		"shard_unhealthy":  c.m.ejections.Value(),
+		"shard_readmit":    c.m.readmissions.Value(),
+		"shard_hedge":      c.m.hedges.Value(),
+		"shard_retry":      c.m.retries.Value(),
+		"scatter_calls":    c.m.scatterCalls.Value(),
+		"scatter_failures": c.m.scatterFailures.Value(),
+	})
 }
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

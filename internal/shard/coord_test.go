@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"math/rand/v2"
 
+	"gebe/internal/api"
 	"gebe/internal/bigraph"
 	"gebe/internal/core"
 	"gebe/internal/dense"
@@ -158,7 +160,7 @@ func TestGatherBitwiseIdentical(t *testing.T) {
 				t.Errorf("shards=%d recommend %s:\ncoord:     %s\nunsharded: %s",
 					shards, body, cw.Body.String(), uw.Body.String())
 			}
-			if cw.Header().Get(serve.TruncatedHeader) != "" {
+			if cw.Header().Get(api.TruncatedHeader) != "" {
 				t.Errorf("shards=%d: full-health gather marked truncated", shards)
 			}
 		}
@@ -195,6 +197,11 @@ func TestBadRequestPropagatesVerbatim(t *testing.T) {
 	if !bytes.Equal(cw.Body.Bytes(), uw.Body.Bytes()) {
 		t.Errorf("400 body:\ncoord:     %s\nunsharded: %s", cw.Body.String(), uw.Body.String())
 	}
+	// A bad similar query is the shard's own 400, proxied.
+	cs, us := get(t, ch, "/v1/similar?id=1&side=x"), get(t, uh, "/v1/similar?id=1&side=x")
+	if cs.Code != http.StatusBadRequest || !bytes.Equal(cs.Body.Bytes(), us.Body.Bytes()) {
+		t.Errorf("similar 400:\ncoord:     %d %s\nunsharded: %d %s", cs.Code, cs.Body.String(), us.Code, us.Body.String())
+	}
 }
 
 // TestCoordinatorValidation: requests the coordinator can reject
@@ -220,8 +227,71 @@ func TestCoordinatorValidation(t *testing.T) {
 			t.Errorf("%s: got %d %s, want 400 containing %q", tc.body, w.Code, w.Body.String(), tc.want)
 		}
 	}
+	// A body over the 1 MiB cap is rejected with the same message an
+	// unsharded server gives, not a truncated-read decode error.
+	huge := `{"users":[` + strings.Repeat("1,", 600_000) + `1]}`
+	cw := postJSON(t, h, "/v1/recommend", huge)
+	uw := postJSON(t, f.unsharded.Handler(), "/v1/recommend", huge)
+	if cw.Code != http.StatusBadRequest || !bytes.Equal(cw.Body.Bytes(), uw.Body.Bytes()) {
+		t.Errorf("oversized body: coord %d %s, unsharded %d %s", cw.Code, cw.Body.String(), uw.Code, uw.Body.String())
+	}
+	if !strings.Contains(cw.Body.String(), "request body too large") {
+		t.Errorf("oversized body: %s, want the request-body-too-large message", cw.Body.String())
+	}
 	if calls := f.coord.m.scatterCalls.Value(); calls != 0 {
 		t.Errorf("validation failures scattered %v shard calls", calls)
+	}
+}
+
+// panicOnceWriter panics on the first WriteHeader — a fault inside the
+// coordinator's own response path — and behaves normally afterwards.
+type panicOnceWriter struct {
+	*httptest.ResponseRecorder
+	panicked bool
+}
+
+func (w *panicOnceWriter) WriteHeader(code int) {
+	if !w.panicked {
+		w.panicked = true
+		panic("response path exploded")
+	}
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+// TestCoordinatorPanicRecovery: a panic while the coordinator answers a
+// gathered request becomes a JSON 500 with a "cause=panic" access line;
+// the panic is counted, the in-flight gauge drains, and the next
+// request is served.
+func TestCoordinatorPanicRecovery(t *testing.T) {
+	var logBuf bytes.Buffer
+	reg := obs.NewRegistry()
+	f := newFleet(t, 2, Config{Metrics: reg, Log: obs.NewTextLogger(&logBuf, slog.LevelInfo)})
+	h := f.coord.Handler()
+	w := &panicOnceWriter{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/recommend", strings.NewReader(`{"users":[0,5],"n":4}`)))
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", w.Code)
+	}
+	var e api.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error != "internal error" {
+		t.Errorf("500 body %q not the JSON internal error", w.Body.String())
+	}
+	if got := reg.Counter("coord_panics_total", "").Value(); got != 1 {
+		t.Errorf("coord_panics_total = %v, want 1", got)
+	}
+	if got := reg.Gauge("coord_inflight", "").Value(); got != 0 {
+		t.Errorf("coord_inflight = %v after panic, want 0", got)
+	}
+	for _, want := range []string{"coord: handler panic", "coord: access", "status=500", "cause=panic"} {
+		if !strings.Contains(logBuf.String(), want) {
+			t.Errorf("log %q missing %q", logBuf.String(), want)
+		}
+	}
+	if got := f.coord.LatencySnapshot().Counters["panics"]; got != 1 {
+		t.Errorf("snapshot panics = %v, want 1", got)
+	}
+	if w := postJSON(t, h, "/v1/recommend", `{"users":[0,5],"n":4}`); w.Code != http.StatusOK {
+		t.Errorf("request after panic: %d %s", w.Code, w.Body.String())
 	}
 }
 
@@ -237,10 +307,10 @@ func TestKilledShardDegrades(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded gather: got %d %s, want 200", w.Code, w.Body.String())
 	}
-	if w.Header().Get(serve.TruncatedHeader) != "true" {
+	if w.Header().Get(api.TruncatedHeader) != "true" {
 		t.Error("degraded gather missing X-Gebe-Truncated")
 	}
-	var resp serve.RecommendResponse
+	var resp api.RecommendResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +341,8 @@ func TestKilledShardDegrades(t *testing.T) {
 	// but issues no calls to the dead shard.
 	before := f.coord.m.scatterFailures.Value()
 	w = postJSON(t, h, "/v1/recommend", `{"users":[0],"n":4}`)
-	if w.Code != http.StatusOK || w.Header().Get(serve.TruncatedHeader) != "true" {
-		t.Fatalf("post-ejection gather: %d truncated=%q", w.Code, w.Header().Get(serve.TruncatedHeader))
+	if w.Code != http.StatusOK || w.Header().Get(api.TruncatedHeader) != "true" {
+		t.Fatalf("post-ejection gather: %d truncated=%q", w.Code, w.Header().Get(api.TruncatedHeader))
 	}
 	if got := f.coord.m.scatterFailures.Value(); got != before {
 		t.Errorf("ejected shard still scattered to: failures %v -> %v", before, got)
@@ -287,8 +357,8 @@ func TestKilledShardDegrades(t *testing.T) {
 	}
 	cw := postJSON(t, h, "/v1/recommend", `{"users":[0,5],"n":8}`)
 	uw := postJSON(t, f.unsharded.Handler(), "/v1/recommend", `{"users":[0,5],"n":8}`)
-	if cw.Code != http.StatusOK || cw.Header().Get(serve.TruncatedHeader) != "" {
-		t.Fatalf("post-recovery gather: %d truncated=%q", cw.Code, cw.Header().Get(serve.TruncatedHeader))
+	if cw.Code != http.StatusOK || cw.Header().Get(api.TruncatedHeader) != "" {
+		t.Fatalf("post-recovery gather: %d truncated=%q", cw.Code, cw.Header().Get(api.TruncatedHeader))
 	}
 	if !bytes.Equal(cw.Body.Bytes(), uw.Body.Bytes()) {
 		t.Errorf("post-recovery not identical:\ncoord:     %s\nunsharded: %s", cw.Body.String(), uw.Body.String())
@@ -325,7 +395,7 @@ func TestScoreDegrades(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded score: %d %s", w.Code, w.Body.String())
 	}
-	var resp scoreResponse
+	var resp api.ScoreResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +534,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	f := newFleet(t, 2, Config{})
 	h := f.coord.Handler()
 	req := httptest.NewRequest("POST", "/v1/recommend", strings.NewReader(`{"users":[0,5],"n":4}`))
-	req.Header.Set(serve.DeadlineHeader, "0")
+	req.Header.Set(api.DeadlineHeader, "0")
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	// An already-expired budget either gathers nothing (503) or gathers
@@ -472,7 +542,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	// complete answer.
 	switch w.Code {
 	case http.StatusOK:
-		if w.Header().Get(serve.TruncatedHeader) != "true" {
+		if w.Header().Get(api.TruncatedHeader) != "true" {
 			t.Errorf("expired-deadline 200 without truncation: %s", w.Body.String())
 		}
 	case http.StatusServiceUnavailable:
@@ -497,10 +567,10 @@ func TestCoordLatencySnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := dir + "/COORD_LATENCY.json"
-	if err := f.coord.WriteLatencySnapshot(path); err != nil {
+	if err := f.coord.LatencySnapshot().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var back serve.LatencySnapshot
+	var back api.LatencySnapshot
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -508,8 +578,8 @@ func TestCoordLatencySnapshot(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
-	if len(back.Endpoints) != len(endpoints) {
-		t.Errorf("snapshot has %d endpoints, want %d", len(back.Endpoints), len(endpoints))
+	if len(back.Endpoints) != len(api.Endpoints) {
+		t.Errorf("snapshot has %d endpoints, want %d", len(back.Endpoints), len(api.Endpoints))
 	}
 }
 

@@ -36,6 +36,7 @@ type shardState struct {
 // snapshotState is a consistent copy of a shard's mutable fields, the
 // form handlers read so no lock is held across a scatter.
 type snapshotState struct {
+	src          *shardState
 	addr         string
 	healthy      bool
 	known        bool
@@ -50,7 +51,7 @@ func (s *shardState) snapshot() snapshotState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return snapshotState{
-		addr: s.addr, healthy: s.healthy, known: s.known, version: s.version,
+		src: s, addr: s.addr, healthy: s.healthy, known: s.known, version: s.version,
 		index: s.index, count: s.count, offset: s.offset, rows: s.rows,
 		total: s.total, users: s.users, lastErr: s.lastErr,
 	}
