@@ -121,7 +121,7 @@ func main() {
 		// Divergence is a correctness failure, not a slow run: CI points
 		// its smoke step here.
 		if rows.Summary["max_abs_diff"] > 1e-12 || rows.Summary["all_fma_match"] != 1 {
-			fmt.Fprintf(os.Stderr, "gebe-bench: dense engine diverges from legacy (max |diff| %.3e, fma match %v)\n",
+			fmt.Fprintf(os.Stderr, "gebe-bench: dense engine diverges from the reference loops (max |diff| %.3e, fma match %v)\n",
 				rows.Summary["max_abs_diff"], rows.Summary["all_fma_match"] == 1)
 			os.Exit(1)
 		}

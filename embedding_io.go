@@ -2,6 +2,7 @@ package gebe
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -192,12 +193,25 @@ func SaveEmbedding(path string, e *Embedding) error {
 	return f.Close()
 }
 
+// maxSideCells caps rows×k per side of an embedding ReadEmbedding will
+// allocate: 2³² float64 cells (32 GiB), about three times the paper's
+// largest graph at k=128 (MAG, 10.5M users × 128 ≈ 1.35·10⁹ cells). The
+// reader allocates both sides from the header before it sees a row, so
+// without a cap a one-line header could ask for more memory than any
+// machine has.
+const maxSideCells uint64 = 1 << 32
+
+// ErrEmbeddingTooLarge is wrapped by the error ReadEmbedding returns for
+// a header whose U or V side exceeds maxSideCells.
+var ErrEmbeddingTooLarge = errors.New("gebe: embedding dimensions too large")
+
 // ReadEmbedding parses the format written by WriteEmbedding. The parser
 // is strict — this is the load path of the serving layer, where a
 // malformed file must fail at startup, not at query time:
 // non-finite vector entries, duplicate (side, index) rows, and
 // truncated streams (fewer rows than the header promises) are all
-// errors, as are header dimensions too large to allocate.
+// errors, as are header dimensions above maxSideCells
+// (ErrEmbeddingTooLarge).
 func ReadEmbedding(r io.Reader) (*Embedding, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -214,10 +228,10 @@ func ReadEmbedding(r io.Reader) (*Embedding, error) {
 	if err1 != nil || err2 != nil || err3 != nil || nu < 0 || nv < 0 || k <= 0 {
 		return nil, fmt.Errorf("gebe: bad embedding dimensions in header %q", sc.Text())
 	}
-	// An adversarial header must not overflow rows×cols into a negative
-	// (or tiny) allocation; reject what cannot be indexed.
-	if nu > math.MaxInt/k || nv > math.MaxInt/k {
-		return nil, fmt.Errorf("gebe: embedding dimensions %dx%d, %dx%d overflow", nu, k, nv, k)
+	// Dividing keeps the check itself from overflowing rows×k.
+	if lim := maxSideCells / uint64(k); uint64(nu) > lim || uint64(nv) > lim {
+		return nil, fmt.Errorf("%w: %dx%d and %dx%d, limit %d cells per side",
+			ErrEmbeddingTooLarge, nu, k, nv, k, maxSideCells)
 	}
 	e := &core.Embedding{
 		U:      dense.New(nu, k),

@@ -1,6 +1,7 @@
 package gebe
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestReadEmbeddingHardening(t *testing.T) {
 		{
 			name:    "header dimension overflow",
 			in:      "#gebe m 4611686018427387904 1 4\n",
-			wantErr: "overflow",
+			wantErr: "too large",
 		},
 		{
 			name:    "non-finite sigma_scale meta",
@@ -117,6 +118,27 @@ func TestReadEmbeddingHardening(t *testing.T) {
 	}
 	if e.U.At(1, 0) != 3 || e.V.At(0, 1) != 6 {
 		t.Errorf("rows landed wrong: U=%v V=%v", e.U, e.V)
+	}
+}
+
+// TestReadEmbeddingHeaderTooLarge: a header whose cell count fits in an
+// int but not in memory (2·(2⁶²−1) cells; the old overflow guard let it
+// through to a makeslice panic) must be refused with
+// ErrEmbeddingTooLarge before anything is allocated, on either side.
+func TestReadEmbeddingHeaderTooLarge(t *testing.T) {
+	for _, in := range []string{
+		"#gebe x 4611686018427387903 0 2\n",
+		"#gebe x 0 4611686018427387903 2\n",
+		"#gebe x 1 1 4294967297\n",
+		"#gebe x 65537 0 65536\n",
+	} {
+		if _, err := ReadEmbedding(strings.NewReader(in)); !errors.Is(err, ErrEmbeddingTooLarge) {
+			t.Errorf("ReadEmbedding(%q) = %v, want ErrEmbeddingTooLarge", in, err)
+		}
+	}
+	// Small headers are untouched by the cap: an empty embedding loads.
+	if _, err := ReadEmbedding(strings.NewReader("#gebe x 0 0 1\n")); err != nil {
+		t.Errorf("empty embedding header rejected: %v", err)
 	}
 }
 

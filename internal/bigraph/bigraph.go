@@ -5,7 +5,9 @@
 package bigraph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -32,9 +34,19 @@ type Graph struct {
 	Weighted bool
 }
 
+// ErrBadWeight is wrapped by every error New and ReadEdgeList return for
+// an edge weight that is not a positive finite number. A NaN or infinite
+// weight would pass a plain w <= 0 test and turn every embedding
+// coordinate into NaN.
+var ErrBadWeight = errors.New("edge weight must be positive and finite")
+
+// validWeight reports whether w is a usable edge weight.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
 // New validates and constructs a graph. It rejects out-of-range endpoints
-// and non-positive weights; duplicate (u,v) pairs are allowed here and
-// summed when the weight matrix is built.
+// and weights that are not positive and finite (ErrBadWeight); duplicate
+// (u,v) pairs are allowed here and summed when the weight matrix is
+// built.
 func New(nu, nv int, edges []Edge) (*Graph, error) {
 	if nu < 0 || nv < 0 {
 		return nil, fmt.Errorf("bigraph: negative node count |U|=%d |V|=%d", nu, nv)
@@ -47,8 +59,8 @@ func New(nu, nv int, edges []Edge) (*Graph, error) {
 		if e.V < 0 || e.V >= nv {
 			return nil, fmt.Errorf("bigraph: edge %d has V endpoint %d outside [0,%d)", i, e.V, nv)
 		}
-		if e.W <= 0 {
-			return nil, fmt.Errorf("bigraph: edge %d (%d,%d) has non-positive weight %g", i, e.U, e.V, e.W)
+		if !validWeight(e.W) {
+			return nil, fmt.Errorf("bigraph: edge %d (%d,%d): %w, got %g", i, e.U, e.V, ErrBadWeight, e.W)
 		}
 		if e.W != 1 {
 			weighted = true

@@ -1,6 +1,8 @@
 package bigraph
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,6 +227,35 @@ func TestReadEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
+	}
+}
+
+// TestNonFiniteWeightsRejected: NaN and ±Inf fail a plain w <= 0 test
+// (NaN compares false), so they used to load as weighted graphs and one
+// of them turned the whole embedding into NaN. Both entry points must
+// refuse them with ErrBadWeight.
+func TestNonFiniteWeightsRejected(t *testing.T) {
+	for _, in := range []string{
+		"a x NaN\nb y 1\n",
+		"a x Inf\n",
+		"a x +Inf\n",
+		"a x -inf\n",
+		"b y 1\na x infinity\n",
+		"a x 0\n",
+		"a x -2\n",
+	} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("ReadEdgeList(%q) = %v, want ErrBadWeight", in, err)
+		}
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if _, err := New(2, 2, []Edge{{U: 0, V: 0, W: 1}, {U: 1, V: 1, W: w}}); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("New with weight %g = %v, want ErrBadWeight", w, err)
+		}
+	}
+	// Huge but finite weights stay accepted.
+	if _, err := New(1, 1, []Edge{{U: 0, V: 0, W: math.MaxFloat64}}); err != nil {
+		t.Errorf("New with weight MaxFloat64: %v", err)
 	}
 }
 

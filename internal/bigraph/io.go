@@ -11,7 +11,7 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list: one edge per line
 // as "u v" or "u v w", where u and v are arbitrary string identifiers and
-// w is an optional positive weight (default 1). Lines starting with '#'
+// w is an optional positive finite weight (default 1). Lines starting with '#'
 // or '%' and blank lines are skipped. Node identifiers are densified in
 // first-appearance order and preserved in ULabels/VLabels.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
@@ -39,8 +39,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bigraph: line %d: bad weight %q: %v", lineNo, fields[2], err)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("bigraph: line %d: non-positive weight %g", lineNo, w)
+			if !validWeight(w) {
+				return nil, fmt.Errorf("bigraph: line %d: %w, got %g", lineNo, ErrBadWeight, w)
 			}
 		}
 		u, ok := uIdx[fields[0]]

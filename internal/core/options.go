@@ -38,15 +38,14 @@ type Options struct {
 	// single-thread evaluation protocol.
 	Threads int
 	// SpMM tunes the sparse kernel engine behind every W product: the
-	// execution strategy (shape-aware default, scatter, or the legacy
-	// baseline) and the nonzero-count parallelism gate. The zero value
-	// selects the shape-aware defaults; SpMM.Threads is ignored — the
-	// Threads field above governs parallelism.
+	// nonzero-count parallelism gate and the kernel flavor. The zero
+	// value selects the shape-aware defaults; SpMM.Threads is ignored —
+	// the Threads field above governs parallelism.
 	SpMM sparse.Tuning
 	// Dense tunes the dense engine behind every QR and block product
 	// (KSI's per-sweep orthonormalization and subspace residual, GEBE^p's
-	// blockwise and global QR and projection): the execution strategy and
-	// the multiply-add parallelism gate. The zero value selects the
+	// blockwise and global QR and projection): the multiply-add
+	// parallelism gate and the kernel flavor. The zero value selects the
 	// register-blocked defaults; Dense.Threads is ignored — the Threads
 	// field above governs parallelism.
 	Dense dense.Tuning

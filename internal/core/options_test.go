@@ -9,6 +9,7 @@ import (
 
 	"gebe/internal/bigraph"
 	"gebe/internal/budget"
+	"gebe/internal/cpu"
 	"gebe/internal/dense"
 	"gebe/internal/linalg"
 	"gebe/internal/obs"
@@ -44,10 +45,10 @@ func TestValidateBoundaries(t *testing.T) {
 		{"stop flatness negative", func(o *Options) { o.StopFlatness = -0.5 }, false},
 		{"stop flatness one", func(o *Options) { o.StopFlatness = 1 }, false},
 		{"stop flatness valid", func(o *Options) { o.StopFlatness = 0.95 }, true},
-		{"dense tuning valid", func(o *Options) { o.Dense = dense.Tuning{Strategy: dense.StrategyLegacy, MinParallelFlops: 100} }, true},
+		{"dense tuning valid", func(o *Options) { o.Dense = dense.Tuning{Kernels: cpu.KernelGo, MinParallelFlops: 100} }, true},
 		{"dense threads negative", func(o *Options) { o.Dense.Threads = -3 }, false},
 		{"dense flop gate negative", func(o *Options) { o.Dense.MinParallelFlops = -1 }, false},
-		{"dense strategy unknown", func(o *Options) { o.Dense.Strategy = dense.Strategy(7) }, false},
+		{"dense kernels unknown", func(o *Options) { o.Dense.Kernels = cpu.KernelMode(7) }, false},
 	}
 	for _, tc := range cases {
 		opt := base

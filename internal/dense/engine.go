@@ -46,11 +46,6 @@ func mulExec(out, a, b *Matrix, t Tuning) {
 	t0 := gemmNow(gm)
 	inner, k := a.Cols, b.Cols
 	flops := float64(a.Rows) * float64(inner) * float64(k)
-	if t.Strategy == StrategyLegacy {
-		mulGeneric(a.Data, b.Data, out.Data, inner, k, 0, a.Rows)
-		gm.record(dopMul, t0, flops, "legacy", "generic")
-		return
-	}
 	kern, kname := dispatchMul(k, t.Kernels)
 	nw := t.workers(flops, a.Rows)
 	if nw <= 1 {
@@ -96,11 +91,6 @@ func mulTExec(out, a, b *Matrix, t Tuning) {
 	t0 := gemmNow(gm)
 	inner, p := a.Cols, b.Rows
 	flops := float64(a.Rows) * float64(inner) * float64(p)
-	if t.Strategy == StrategyLegacy {
-		mulTGeneric(a.Data, b.Data, out.Data, inner, p, 0, a.Rows)
-		gm.record(dopMulT, t0, flops, "legacy", "generic")
-		return
-	}
 	kern, kname := dispatchMulT(p, t.Kernels)
 	nw := t.workers(flops, a.Rows)
 	if nw <= 1 {
@@ -149,11 +139,6 @@ func tmulExec(out, a, b *Matrix, t Tuning) {
 	t0 := gemmNow(gm)
 	k1, k2 := a.Cols, b.Cols
 	flops := float64(a.Rows) * float64(k1) * float64(k2)
-	if t.Strategy == StrategyLegacy {
-		tmulGeneric(a.Data, b.Data, out.Data, k1, k2, 0, a.Rows)
-		gm.record(dopTMul, t0, flops, "legacy", "generic")
-		return
-	}
 	kern, kname := dispatchTMul(k1, k2, t.Kernels)
 	nw := t.workers(flops, a.Rows)
 	if nw <= 1 {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"gebe/internal/cpu"
 	"gebe/internal/obs"
 )
 
@@ -18,11 +19,12 @@ func newTestRegistry(t *testing.T) *obs.Registry {
 	return reg
 }
 
-// The engine's contract: every auto path agrees with StrategyLegacy.
-// All sequential kernels and QR are bitwise identical by construction
-// (same per-element accumulation order), so single-worker runs compare
-// with tol 0; only the parallel Aᵀ·B partial-fold reorders a reduction
-// and gets a round-off tolerance scaled by the accumulation length.
+// The engine's contract: every path agrees with the reference loops in
+// reference.go. All sequential kernels and QR are bitwise identical by
+// construction (same per-element accumulation order), so single-worker
+// runs compare with tol 0; only the parallel Aᵀ·B partial-fold reorders
+// a reduction and gets a round-off tolerance scaled by the accumulation
+// length.
 
 func engineRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xbeef))
@@ -46,7 +48,7 @@ func TestMulMatchesLegacyBitwise(t *testing.T) {
 			for _, inner := range []int{1, 9, 33} {
 				a := Random(rows, inner, rng)
 				b := Random(inner, k, rng)
-				want := MulOpts(a, b, Tuning{Strategy: StrategyLegacy})
+				want := ReferenceMul(a, b)
 				for _, threads := range []int{1, 2, 4} {
 					got := MulOpts(a, b, forceParallel(threads))
 					if d := maxAbsDiff(want, got); d != 0 {
@@ -66,7 +68,7 @@ func TestMulTMatchesLegacyBitwise(t *testing.T) {
 			for _, inner := range []int{1, 5, 40} {
 				a := Random(rows, inner, rng)
 				b := Random(p, inner, rng)
-				want := MulTOpts(a, b, Tuning{Strategy: StrategyLegacy})
+				want := ReferenceMulT(a, b)
 				for _, threads := range []int{1, 3} {
 					got := MulTOpts(a, b, forceParallel(threads))
 					if d := maxAbsDiff(want, got); d != 0 {
@@ -86,7 +88,7 @@ func TestTMulMatchesLegacy(t *testing.T) {
 			for _, rows := range []int{1, 7, 8, 9, 250} {
 				a := Random(rows, k1, rng)
 				b := Random(rows, k2, rng)
-				want := TMulOpts(a, b, Tuning{Strategy: StrategyLegacy})
+				want := ReferenceTMul(a, b)
 				for _, threads := range []int{1, 2, 5} {
 					got := TMulOpts(a, b, forceParallel(threads))
 					// A single worker is bitwise; the parallel fold
@@ -171,38 +173,32 @@ func TestTuningValidate(t *testing.T) {
 		ok bool
 	}{
 		{Tuning{}, true},
-		{Tuning{Threads: 8, Strategy: StrategyLegacy, MinParallelFlops: 100}, true},
+		{Tuning{Threads: 8, MinParallelFlops: 100, Kernels: cpu.KernelGo}, true},
 		{Tuning{Threads: -1}, false},
 		{Tuning{MinParallelFlops: -5}, false},
-		{Tuning{Strategy: Strategy(9)}, false},
+		{Tuning{Kernels: cpu.KernelMode(9)}, false},
 	} {
 		if err := tc.tn.Validate(); (err == nil) != tc.ok {
 			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.tn, err, tc.ok)
 		}
 	}
-	if s := StrategyAuto.String(); s != "auto" {
-		t.Errorf("StrategyAuto.String() = %q", s)
-	}
-	if s := Strategy(9).String(); s != "Strategy(9)" {
-		t.Errorf("Strategy(9).String() = %q", s)
-	}
 }
 
 func TestEngineMetricsRecorded(t *testing.T) {
-	// Covered indirectly elsewhere; here: the fma counter books identical
-	// pure-shape counts for legacy and auto on every orientation.
+	// Covered indirectly elsewhere; here: the fma counter books the
+	// pure-shape count on every orientation, serial or fanned out.
 	rng := engineRand(6)
 	a := Random(30, 8, rng)
 	b := Random(8, 8, rng)
-	for _, strat := range []Strategy{StrategyAuto, StrategyLegacy} {
+	for _, tn := range []Tuning{{}, forceParallel(3)} {
 		reg := newTestRegistry(t)
-		MulOpts(a, b, Tuning{Strategy: strat})
-		TMulOpts(a, a, Tuning{Strategy: strat})
-		MulTOpts(a, a, Tuning{Strategy: strat})
-		QROpts(a, Tuning{Strategy: strat})
+		MulOpts(a, b, tn)
+		TMulOpts(a, a, tn)
+		MulTOpts(a, a, tn)
+		QROpts(a, tn)
 		want := 30.*8*8 + 30.*8*8 + 30.*8*30 + qrFlops(30, 8)
 		if got := reg.Counter("dense_gemm_fma_total", "").Value(); got != want {
-			t.Errorf("strategy %v booked %g fma, want %g", strat, got, want)
+			t.Errorf("%+v booked %g fma, want %g", tn, got, want)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import "gebe/internal/cpu"
 
 // The inner GEMM kernels. Every kernel performs exactly rows·inner·cols
 // multiply-adds for its assigned row range — the engine's fma counter is
-// strategy- and kernel-independent, which is what lets the equivalence
+// schedule- and kernel-independent, which is what lets the equivalence
 // tests and BENCH_DENSE assert identical work across dispatch choices.
 //
 // Mul (A·B) mirrors the sparse engine's width dispatch: the specialized

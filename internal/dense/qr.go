@@ -7,16 +7,17 @@ import (
 	"gebe/internal/par"
 )
 
-// Householder QR, two ways.
+// Householder QR.
 //
-// qrLegacy is the original column-order implementation: every reflector
-// application walks columns with stride n, so at solver shapes (n rows in
-// the hundreds of thousands, panel width k ≤ 128) each inner-loop load
-// touches a new cache line. QRWork.Factor is the engine version: the
-// same reflector sequence restructured into row-major passes and
-// panel-blocked so a panel's reflectors stream the trailing block once
-// per reflector in row order, with the trailing update and thin-Q
-// formation column-tile-parallel on the shared internal/par pool.
+// The reference column-order implementation (qrLegacy, reference.go)
+// walks columns with stride n on every reflector application, so at
+// solver shapes (n rows in the hundreds of thousands, panel width
+// k ≤ 128) each inner-loop load touches a new cache line. QRWork.Factor
+// is the engine version: the same reflector sequence restructured into
+// row-major passes and panel-blocked so a panel's reflectors stream the
+// trailing block once per reflector in row order, with the trailing
+// update and thin-Q formation column-tile-parallel on the shared
+// internal/par pool.
 //
 // The engine path is bitwise identical to qrLegacy, which is what lets
 // the equivalence tests assert diff == 0: per column j, a reflector
@@ -108,9 +109,7 @@ func (ws *QRWork) Orthonormalize(a *Matrix, t Tuning) *Matrix {
 }
 
 // Factor computes the thin QR of a into the workspace and returns views
-// of Q and R; see the QRWork doc for their lifetime. With
-// StrategyLegacy it delegates to the original column-order code (fresh
-// allocations, workspace untouched).
+// of Q and R; see the QRWork doc for their lifetime.
 func (ws *QRWork) Factor(a *Matrix, t Tuning) (q, r *Matrix) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -118,11 +117,6 @@ func (ws *QRWork) Factor(a *Matrix, t Tuning) (q, r *Matrix) {
 	}
 	gm := gemms.Load()
 	t0 := gemmNow(gm)
-	if t.Strategy == StrategyLegacy {
-		lq, lr := qrLegacy(a)
-		gm.record(dopQR, t0, qrFlops(m, n), "legacy", "colmajor")
-		return lq, lr
-	}
 	ws.ensure(m, n)
 	wd, betas := ws.w, ws.betas
 	copy(wd, a.Data)
@@ -309,109 +303,9 @@ func formQTile(wd, betas, qd, s []float64, m, n, jlo, jhi int) {
 }
 
 // qrFlops is the nominal multiply-add count of a thin m×n Householder
-// factorization plus thin-Q formation — a pure shape function, so both
-// strategies book identical values into dense_gemm_fma_total.
+// factorization plus thin-Q formation — a pure shape function, so every
+// schedule books identical values into dense_gemm_fma_total.
 func qrFlops(m, n int) float64 {
 	fm, fn := float64(m), float64(n)
 	return 2*fm*fn*fn - 2*fn*fn*fn/3 + 2*fm*fn*fn
-}
-
-// qrLegacy is the original column-order Householder QR, kept verbatim as
-// the StrategyLegacy baseline for BENCH_DENSE and the equivalence tests.
-func qrLegacy(a *Matrix) (q, r *Matrix) {
-	m, n := a.Rows, a.Cols
-	// Work on a copy; we accumulate the Householder vectors in-place below
-	// the diagonal and R above it.
-	w := a.Clone()
-	// betas[k] is the scalar of the k-th reflector H_k = I - beta v vᵀ.
-	betas := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Compute the norm of the k-th column below (and including) row k.
-		var norm float64
-		for i := k; i < m; i++ {
-			x := w.Data[i*n+k]
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			betas[k] = 0
-			continue
-		}
-		alpha := w.Data[k*n+k]
-		// Choose the sign that avoids cancellation.
-		if alpha > 0 {
-			norm = -norm
-		}
-		// v = x - norm*e1, stored in place with v[0] implicit.
-		v0 := alpha - norm
-		w.Data[k*n+k] = norm // R[k,k]
-		// beta = 2 / (vᵀv); with v0 and the untouched tail.
-		var vtv float64 = v0 * v0
-		for i := k + 1; i < m; i++ {
-			x := w.Data[i*n+k]
-			vtv += x * x
-		}
-		if vtv == 0 {
-			betas[k] = 0
-			continue
-		}
-		beta := 2 / vtv
-		betas[k] = beta
-		// Apply H_k to the trailing columns: for each column j>k,
-		// col_j -= beta * (vᵀ col_j) * v.
-		for j := k + 1; j < n; j++ {
-			s := v0 * w.Data[k*n+j]
-			for i := k + 1; i < m; i++ {
-				s += w.Data[i*n+k] * w.Data[i*n+j]
-			}
-			s *= beta
-			w.Data[k*n+j] -= s * v0
-			for i := k + 1; i < m; i++ {
-				w.Data[i*n+j] -= s * w.Data[i*n+k]
-			}
-		}
-		// Store v0 in place of the (now consumed) subdiagonal head: we keep
-		// v's tail below the diagonal and remember v0 separately by scaling.
-		// To keep a single backing store, normalize so v0 divides out:
-		// store v_tail / v0 and fold v0² into beta.
-		if v0 != 0 {
-			inv := 1 / v0
-			for i := k + 1; i < m; i++ {
-				w.Data[i*n+k] *= inv
-			}
-			betas[k] = beta * v0 * v0
-		}
-	}
-	// Extract R.
-	r = New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Data[i*n+j] = w.Data[i*n+j]
-		}
-	}
-	// Form thin Q by applying the reflectors to the first n columns of I,
-	// in reverse order: Q = H_0 H_1 ... H_{n-1} [I_n; 0].
-	q = New(m, n)
-	for i := 0; i < n; i++ {
-		q.Data[i*n+i] = 1
-	}
-	for k := n - 1; k >= 0; k-- {
-		beta := betas[k]
-		if beta == 0 {
-			continue
-		}
-		// v = [1; w[k+1:m, k]] (v0 normalized to 1).
-		for j := 0; j < n; j++ {
-			s := q.Data[k*n+j]
-			for i := k + 1; i < m; i++ {
-				s += w.Data[i*n+k] * q.Data[i*n+j]
-			}
-			s *= beta
-			q.Data[k*n+j] -= s
-			for i := k + 1; i < m; i++ {
-				q.Data[i*n+j] -= s * w.Data[i*n+k]
-			}
-		}
-	}
-	return q, r
 }

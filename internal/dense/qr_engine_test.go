@@ -43,7 +43,7 @@ func qrShapes() []*Matrix {
 
 func TestQRMatchesLegacyBitwise(t *testing.T) {
 	for _, a := range qrShapes() {
-		wantQ, wantR := QROpts(a, Tuning{Strategy: StrategyLegacy})
+		wantQ, wantR := ReferenceQR(a)
 		for _, threads := range []int{1, 2, 4} {
 			gotQ, gotR := QROpts(a, Tuning{Threads: threads, MinParallelFlops: 1})
 			if d := maxAbsDiff(wantQ, gotQ); d != 0 {
@@ -58,8 +58,15 @@ func TestQRMatchesLegacyBitwise(t *testing.T) {
 
 func TestQRInvariants(t *testing.T) {
 	for _, a := range qrShapes() {
-		for _, tn := range []Tuning{{}, {Threads: 4, MinParallelFlops: 1}, {Strategy: StrategyLegacy}} {
-			q, r := QROpts(a, tn)
+		for _, tc := range []struct {
+			name   string
+			factor func(*Matrix) (q, r *Matrix)
+		}{
+			{"serial", func(a *Matrix) (q, r *Matrix) { return QROpts(a, Tuning{}) }},
+			{"parallel", func(a *Matrix) (q, r *Matrix) { return QROpts(a, Tuning{Threads: 4, MinParallelFlops: 1}) }},
+			{"reference", ReferenceQR},
+		} {
+			q, r := tc.factor(a)
 			n := a.Cols
 			// Orthonormal columns: ‖QᵀQ − I‖_max small. Rank-deficient
 			// inputs still give orthonormal Q (reflectors of zero columns
@@ -69,7 +76,7 @@ func TestQRInvariants(t *testing.T) {
 				qtq.Set(i, i, qtq.At(i, i)-1)
 			}
 			if d := qtq.MaxAbs(); d > 1e-12 {
-				t.Errorf("%dx%d %+v: ‖QᵀQ−I‖ = %g", a.Rows, a.Cols, tn, d)
+				t.Errorf("%dx%d %s: ‖QᵀQ−I‖ = %g", a.Rows, a.Cols, tc.name, d)
 			}
 			// Reconstruction: ‖QR − A‖ small relative to ‖A‖.
 			recon := maxAbsDiff(Mul(q, r), a)
@@ -78,7 +85,7 @@ func TestQRInvariants(t *testing.T) {
 				scale = 1
 			}
 			if recon/scale > 1e-12 {
-				t.Errorf("%dx%d %+v: ‖QR−A‖/‖A‖ = %g", a.Rows, a.Cols, tn, recon/scale)
+				t.Errorf("%dx%d %s: ‖QR−A‖/‖A‖ = %g", a.Rows, a.Cols, tc.name, recon/scale)
 			}
 			// R upper triangular.
 			for i := 0; i < n; i++ {

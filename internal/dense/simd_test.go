@@ -11,10 +11,11 @@ import (
 )
 
 // Engine-level SIMD flavor contract for the three GEMM orientations:
-// the non-fused vector kernels reproduce the scalar kernels bit for
-// bit across widths 1..33 (both sides of every specialization), short
-// and empty inner dimensions included; the fused flavor stays within
-// the documented relative tolerance.
+// the non-fused vector kernels reproduce the scalar kernels — and both
+// reproduce the reference loops — bit for bit across widths 1..33 (both
+// sides of every specialization), short and empty inner dimensions
+// included; the fused flavor stays within the documented relative
+// tolerance.
 
 func bitsEqual(a, b []float64) (int, bool) {
 	for i := range a {
@@ -46,8 +47,15 @@ func TestDenseSIMDEquivalenceSweep(t *testing.T) {
 		t.Skip("no SIMD kernels on this CPU")
 	}
 	hasFMA := cpu.Resolve(cpu.KernelFMA) == cpu.KernelFMA
-	check := func(name string, simdOut, goOut *Matrix, fmaOut *Matrix) {
+	// ref, when set, is the reference loop's answer, which the Go
+	// flavor (and so the SIMD one) must reproduce bit for bit.
+	check := func(name string, simdOut, goOut, fmaOut, ref *Matrix) {
 		t.Helper()
+		if ref != nil {
+			if i, ok := bitsEqual(goOut.Data, ref.Data); !ok {
+				t.Fatalf("%s: Go kernels diverge from the reference at %d: %v != %v", name, i, goOut.Data[i], ref.Data[i])
+			}
+		}
 		if i, ok := bitsEqual(simdOut.Data, goOut.Data); !ok {
 			t.Fatalf("%s: SIMD diverges at %d: %v != %v", name, i, simdOut.Data[i], goOut.Data[i])
 		}
@@ -64,6 +72,7 @@ func TestDenseSIMDEquivalenceSweep(t *testing.T) {
 			b := Random(inner, k, rng(uint64(inner*100+k)+1))
 			bt := Random(k, inner, rng(uint64(inner*100+k)+2)) // for A·Bᵀ, p=k
 			c := Random(rows, k, rng(uint64(inner*100+k)+3))   // for Aᵀ·B, k2=k
+			refMul, refMulT, refTMul := ReferenceMul(a, b), ReferenceMulT(a, bt), ReferenceTMul(a, c)
 			for _, threads := range []int{1, 3} {
 				goT := Tuning{Threads: threads, MinParallelFlops: 1, Kernels: cpu.KernelGo}
 				sT := goT
@@ -76,19 +85,24 @@ func TestDenseSIMDEquivalenceSweep(t *testing.T) {
 				if hasFMA {
 					fm = MulOpts(a, b, fT)
 				}
-				check("mul/"+name, MulOpts(a, b, sT), MulOpts(a, b, goT), fm)
+				check("mul/"+name, MulOpts(a, b, sT), MulOpts(a, b, goT), fm, refMul)
 
 				if hasFMA {
 					fm = MulTOpts(a, bt, fT)
 				}
-				check("mult/"+name, MulTOpts(a, bt, sT), MulTOpts(a, bt, goT), fm)
+				check("mult/"+name, MulTOpts(a, bt, sT), MulTOpts(a, bt, goT), fm, refMulT)
 
 				// Aᵀ·B reduces per-worker partials in a fixed fold order,
-				// so identical tunings compare bitwise across flavors too.
+				// so identical tunings compare bitwise across flavors too;
+				// only the single-worker run matches the reference loop.
 				if hasFMA {
 					fm = TMulOpts(a, c, fT)
 				}
-				check("tmul/"+name, TMulOpts(a, c, sT), TMulOpts(a, c, goT), fm)
+				ref := refTMul
+				if threads > 1 {
+					ref = nil
+				}
+				check("tmul/"+name, TMulOpts(a, c, sT), TMulOpts(a, c, goT), fm, ref)
 			}
 		}
 	}

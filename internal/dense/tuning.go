@@ -9,35 +9,6 @@ import (
 	"gebe/internal/obs"
 )
 
-// Strategy selects how the dense engine executes block products and QR.
-type Strategy int
-
-const (
-	// StrategyAuto is the default: row/panel-parallel scheduling on the
-	// shared internal/par worker pool, register-blocked inner kernels
-	// picked per block width, and the row-major blocked Householder QR.
-	// Parallelism is gated on the multiply-add count, so small blocks run
-	// sequentially with no fork/join cost.
-	StrategyAuto Strategy = iota
-	// StrategyLegacy reproduces the pre-engine behavior exactly — the
-	// serial generic loops and the column-order Householder QR — and
-	// exists as the measured baseline for BENCH_DENSE and the
-	// equivalence tests.
-	StrategyLegacy
-)
-
-// String names the strategy as it appears in metrics and BENCH_DENSE.json.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // DefaultMinParallelFlops is the multiply-add count below which dense
 // operations run sequentially: under ~128Ki fused multiply-adds the
 // fork/join on the shared pool costs more than it saves.
@@ -50,16 +21,13 @@ const DefaultMinParallelFlops = 1 << 17
 type Tuning struct {
 	// Threads caps the number of parallel partitions (<=1 sequential).
 	Threads int
-	// Strategy picks the execution plan; see the Strategy constants.
-	Strategy Strategy
 	// MinParallelFlops gates parallelism on the operation's multiply-add
 	// count (rows·inner·cols for a product, ~n²(m−n/3) for QR);
 	// 0 selects DefaultMinParallelFlops.
 	MinParallelFlops int
 	// Kernels picks the kernel flavor (Go scalar, SIMD, or fused SIMD).
 	// The zero value KernelAuto follows GEBE_SIMD and hardware support;
-	// explicit requests are clamped to what the CPU can run. Ignored by
-	// StrategyLegacy, which always runs the scalar generic kernels.
+	// explicit requests are clamped to what the CPU can run.
 	Kernels cpu.KernelMode
 }
 
@@ -74,12 +42,7 @@ func (t Tuning) Validate() error {
 	if !t.Kernels.Valid() {
 		return fmt.Errorf("dense: unknown Tuning.Kernels %d", int(t.Kernels))
 	}
-	switch t.Strategy {
-	case StrategyAuto, StrategyLegacy:
-		return nil
-	default:
-		return fmt.Errorf("dense: unknown Tuning.Strategy %d", int(t.Strategy))
-	}
+	return nil
 }
 
 // workers returns the partition count for an operation with the given
@@ -122,8 +85,9 @@ type gemmMetrics struct {
 	seconds [numDops]*obs.Histogram
 	calls   [numDops]*obs.Counter
 	fma     *obs.Counter
-	// strategy and kernel count which execution plan and which inner
-	// kernel each operation dispatched to, one counter per label.
+	// strategy and kernel count how each operation was scheduled (serial,
+	// rowpar, partials, colpar) and which inner kernel it dispatched to,
+	// one counter per label.
 	strategy, kernel *obs.CounterVec
 }
 
@@ -141,7 +105,7 @@ func EnableMetrics(r *obs.Registry) {
 	}
 	gm := &gemmMetrics{
 		fma:      r.Counter("dense_gemm_fma_total", "dense multiply-adds performed (rows × inner × cols; QR booked by its shape formula)"),
-		strategy: r.CounterVec("dense_strategy", "dense operations executed per engine strategy"),
+		strategy: r.CounterVec("dense_strategy", "dense operations executed per schedule (serial or parallel fan-out)"),
 		kernel:   r.CounterVec("dense_kernel", "dense operations executed per inner kernel"),
 	}
 	gm.seconds[dopMul] = r.Histogram("dense_gemm_seconds", "wall-clock of A·B products", obs.FastBuckets)
@@ -156,7 +120,7 @@ func EnableMetrics(r *obs.Registry) {
 }
 
 // record books one operation: wall-clock, call count, multiply-adds
-// (a pure shape function, identical across strategies and kernels — the
+// (a pure shape function, identical across schedules and kernels — the
 // invariant the equivalence tests and BENCH_DENSE pin), and the dispatch
 // counters. Nil-safe so the disabled path stays branch-only.
 func (gm *gemmMetrics) record(o dop, t0 time.Time, flops float64, strategy, kernel string) {

@@ -40,8 +40,8 @@ type PowerConfig struct {
 	Seed uint64
 	// Threads caps MulVec/TMulVec parallelism.
 	Threads int
-	// SpMM carries scheduling hints for the sparse products (strategy,
-	// parallelism gate); Threads above overrides SpMM.Threads.
+	// SpMM carries scheduling hints for the sparse products (parallelism
+	// gate, kernel flavor); Threads above overrides SpMM.Threads.
 	SpMM sparse.Tuning
 	// Dense carries scheduling hints for dense block work. The power
 	// iteration itself is vector-only, so today the field only keeps the
@@ -204,8 +204,8 @@ type KSIConfig struct {
 	// input is irrelevant. The matrix is read, never written.
 	InitQ *dense.Matrix
 	// Dense carries scheduling hints for the dense engine behind every
-	// per-sweep QR and block product (strategy, thread cap, parallelism
-	// gate); the zero value runs the sequential blocked defaults.
+	// per-sweep QR and block product (thread cap, parallelism gate,
+	// kernel flavor); the zero value runs the sequential blocked defaults.
 	Dense dense.Tuning
 	// Obs receives per-sweep telemetry (spans, residual logs, metrics,
 	// progress events). nil runs silent.
@@ -375,8 +375,8 @@ type SVDConfig struct {
 	Seed uint64
 	// Threads caps SpMM parallelism.
 	Threads int
-	// SpMM carries scheduling hints for the sparse products (strategy,
-	// parallelism gate); Threads above overrides SpMM.Threads.
+	// SpMM carries scheduling hints for the sparse products (parallelism
+	// gate, kernel flavor); Threads above overrides SpMM.Threads.
 	SpMM sparse.Tuning
 	// Dense carries scheduling hints for the dense engine behind the
 	// blockwise and global QR factorizations and the projection products.

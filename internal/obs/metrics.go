@@ -271,7 +271,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // CounterVec is a family of counters distinguished by one label value —
-// the per-strategy / per-kernel dispatch counters the SpMM engine emits.
+// the per-kernel dispatch counters the SpMM and dense engines emit.
 // Each label lazily materializes a plain counter named
 // "<base>_<label>_total", so the family needs no label support in the
 // exposition formats. Handles are cached: With is lock-free after the

@@ -9,11 +9,12 @@ import (
 // BENCH_DENSE.json (kernel timing grids, mode "bench") and
 // BENCH_ANN.json (approximate-retrieval quality and latency, mode
 // "ann"). Kernel timings are machine-normalized before the double
-// threshold: the legacy strategy runs the same unoptimized code on both
-// sides, so the ratio of legacy totals estimates how much faster or
-// slower this machine is than the one that produced the baseline, and
-// the baseline's tuned timings are rescaled by it. Without that, a CI
-// runner slower than the committing laptop would fail every cell.
+// threshold: the reference loops (legacy_seconds) run the same
+// unoptimized code on both sides, so the ratio of legacy totals
+// estimates how much faster or slower this machine is than the one that
+// produced the baseline, and the baseline's tuned timings are rescaled
+// by it. Without that, a CI runner slower than the committing laptop
+// would fail every cell.
 
 // benchEntry is one experiment in a gebe-bench -json report.
 type benchEntry struct {

@@ -26,24 +26,6 @@ func refGatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[1
 	}
 }
 
-func refScatterSaxpy8(val []float64, idx []int, brow *[8]float64, out []float64, stride int) {
-	for p, v := range val {
-		row := out[idx[p]*stride:]
-		for j := 0; j < 8; j++ {
-			row[j] += v * brow[j]
-		}
-	}
-}
-
-func refScatterSaxpy16(val []float64, idx []int, brow *[16]float64, out []float64, stride int) {
-	for p, v := range val {
-		row := out[idx[p]*stride:]
-		for j := 0; j < 16; j++ {
-			row[j] += v * brow[j]
-		}
-	}
-}
-
 func refSaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64) {
 	for l, av := range a {
 		row := b[l*stride:]
@@ -100,24 +82,6 @@ func refGatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc 
 		row := b[idx[p]*stride:]
 		for j := 0; j < 16; j++ {
 			acc[j] = math.FMA(v, row[j], acc[j])
-		}
-	}
-}
-
-func refScatterSaxpy8FMA(val []float64, idx []int, brow *[8]float64, out []float64, stride int) {
-	for p, v := range val {
-		row := out[idx[p]*stride:]
-		for j := 0; j < 8; j++ {
-			row[j] = math.FMA(v, brow[j], row[j])
-		}
-	}
-}
-
-func refScatterSaxpy16FMA(val []float64, idx []int, brow *[16]float64, out []float64, stride int) {
-	for p, v := range val {
-		row := out[idx[p]*stride:]
-		for j := 0; j < 16; j++ {
-			row[j] = math.FMA(v, brow[j], row[j])
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // AVX2 primitives. Layout shared by all of them:
 //
 //   SI  value/row stream (val or a)     CX  trip count
-//   DI  index stream (gather/scatter)   AX  loop counter
-//   R8  matrix base (b or out)          R9  stride in bytes
+//   DI  index stream (gather)           AX  loop counter
+//   R8  matrix base (b)                 R9  stride in bytes
 //   R10 accumulator pointer             DX  per-trip row byte offset
 //
 // The non-fused bodies pair VMULPD with VADDPD so every lane rounds
@@ -143,142 +143,6 @@ g16fdone:
 	VMOVUPD Y1, 32(R10)
 	VMOVUPD Y2, 64(R10)
 	VMOVUPD Y3, 96(R10)
-	VZEROUPPER
-	RET
-
-// func ScatterSaxpy8(val []float64, idx []int, brow *[8]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy8(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ brow+48(FP), DX
-	MOVQ out_base+56(FP), R8
-	MOVQ stride+80(FP), R9
-	SHLQ $3, R9
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	XORQ AX, AX
-s8loop:
-	CMPQ AX, CX
-	JGE  s8done
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y2
-	VMULPD Y0, Y2, Y3
-	VADDPD (R8)(DX*1), Y3, Y3
-	VMOVUPD Y3, (R8)(DX*1)
-	VMULPD Y1, Y2, Y4
-	VADDPD 32(R8)(DX*1), Y4, Y4
-	VMOVUPD Y4, 32(R8)(DX*1)
-	INCQ AX
-	JMP  s8loop
-s8done:
-	VZEROUPPER
-	RET
-
-// func ScatterSaxpy8FMA(val []float64, idx []int, brow *[8]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy8FMA(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ brow+48(FP), DX
-	MOVQ out_base+56(FP), R8
-	MOVQ stride+80(FP), R9
-	SHLQ $3, R9
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	XORQ AX, AX
-s8floop:
-	CMPQ AX, CX
-	JGE  s8fdone
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y2
-	VMOVUPD (R8)(DX*1), Y3
-	VFMADD231PD Y0, Y2, Y3
-	VMOVUPD Y3, (R8)(DX*1)
-	VMOVUPD 32(R8)(DX*1), Y4
-	VFMADD231PD Y1, Y2, Y4
-	VMOVUPD Y4, 32(R8)(DX*1)
-	INCQ AX
-	JMP  s8floop
-s8fdone:
-	VZEROUPPER
-	RET
-
-// func ScatterSaxpy16(val []float64, idx []int, brow *[16]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy16(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ brow+48(FP), DX
-	MOVQ out_base+56(FP), R8
-	MOVQ stride+80(FP), R9
-	SHLQ $3, R9
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	XORQ AX, AX
-s16loop:
-	CMPQ AX, CX
-	JGE  s16done
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y4
-	VMULPD Y0, Y4, Y5
-	VADDPD (R8)(DX*1), Y5, Y5
-	VMOVUPD Y5, (R8)(DX*1)
-	VMULPD Y1, Y4, Y6
-	VADDPD 32(R8)(DX*1), Y6, Y6
-	VMOVUPD Y6, 32(R8)(DX*1)
-	VMULPD Y2, Y4, Y7
-	VADDPD 64(R8)(DX*1), Y7, Y7
-	VMOVUPD Y7, 64(R8)(DX*1)
-	VMULPD Y3, Y4, Y8
-	VADDPD 96(R8)(DX*1), Y8, Y8
-	VMOVUPD Y8, 96(R8)(DX*1)
-	INCQ AX
-	JMP  s16loop
-s16done:
-	VZEROUPPER
-	RET
-
-// func ScatterSaxpy16FMA(val []float64, idx []int, brow *[16]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy16FMA(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ brow+48(FP), DX
-	MOVQ out_base+56(FP), R8
-	MOVQ stride+80(FP), R9
-	SHLQ $3, R9
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	XORQ AX, AX
-s16floop:
-	CMPQ AX, CX
-	JGE  s16fdone
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y4
-	VMOVUPD (R8)(DX*1), Y5
-	VFMADD231PD Y0, Y4, Y5
-	VMOVUPD Y5, (R8)(DX*1)
-	VMOVUPD 32(R8)(DX*1), Y6
-	VFMADD231PD Y1, Y4, Y6
-	VMOVUPD Y6, 32(R8)(DX*1)
-	VMOVUPD 64(R8)(DX*1), Y7
-	VFMADD231PD Y2, Y4, Y7
-	VMOVUPD Y7, 64(R8)(DX*1)
-	VMOVUPD 96(R8)(DX*1), Y8
-	VFMADD231PD Y3, Y4, Y8
-	VMOVUPD Y8, 96(R8)(DX*1)
-	INCQ AX
-	JMP  s16floop
-s16fdone:
 	VZEROUPPER
 	RET
 

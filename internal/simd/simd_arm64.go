@@ -30,17 +30,6 @@ func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]flo
 //go:noescape
 func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
 
-// ScatterSaxpy8 computes out[idx[p]·stride+j] += val[p]·brow[j] for
-// j<8, p ascending — one 8-wide sparse row scatter.
-//
-//go:noescape
-func ScatterSaxpy8(val []float64, idx []int, brow *[8]float64, out []float64, stride int)
-
-// ScatterSaxpy16 is the 16-wide form of ScatterSaxpy8.
-//
-//go:noescape
-func ScatterSaxpy16(val []float64, idx []int, brow *[16]float64, out []float64, stride int)
-
 // SaxpyRows8 computes acc[j] += a[l]·b[l·stride+j] for j<8, l ascending
 // — one 8-wide dense row accumulation.
 //
@@ -73,12 +62,6 @@ func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]
 
 //go:noescape
 func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
-
-//go:noescape
-func ScatterSaxpy8FMA(val []float64, idx []int, brow *[8]float64, out []float64, stride int)
-
-//go:noescape
-func ScatterSaxpy16FMA(val []float64, idx []int, brow *[16]float64, out []float64, stride int)
 
 //go:noescape
 func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)

@@ -5,8 +5,8 @@
 // NEON primitives. Same register plan everywhere:
 //
 //   R0  value/row stream (val or a)     R1  trip count
-//   R2  index stream (gather/scatter)   R6  loop counter
-//   R3  matrix base (b or out)          R7  row index → byte offset
+//   R2  index stream (gather)           R6  loop counter
+//   R3  matrix base (b)                 R7  row index → byte offset
 //   R4  stride in bytes                 R8  row address
 //   R5  accumulator pointer
 //
@@ -81,75 +81,6 @@ g16loop:
 g16done:
 	VST1 [V0.D2, V1.D2, V2.D2, V3.D2], (R5)
 	VST1 [V16.D2, V17.D2, V18.D2, V19.D2], (R9)
-	RET
-
-// func ScatterSaxpy8(val []float64, idx []int, brow *[8]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy8(SB), NOSPLIT, $0-88
-	MOVD val_base+0(FP), R0
-	MOVD val_len+8(FP), R1
-	MOVD idx_base+24(FP), R2
-	MOVD brow+48(FP), R9
-	MOVD out_base+56(FP), R3
-	MOVD stride+80(FP), R4
-	LSL  $3, R4
-	VLD1 (R9), [V0.D2, V1.D2, V2.D2, V3.D2]
-	MOVD $0, R6
-s8loop:
-	CMP  R1, R6
-	BGE  s8done
-	MOVD (R2)(R6<<3), R7
-	MUL  R4, R7, R7
-	ADD  R3, R7, R8
-	FMOVD (R0)(R6<<3), F4
-	VDUP V4.D[0], V4.D2
-	VLD1 (R8), [V5.D2, V6.D2, V7.D2, V8.D2]
-	VFMLA V0.D2, V4.D2, V5.D2
-	VFMLA V1.D2, V4.D2, V6.D2
-	VFMLA V2.D2, V4.D2, V7.D2
-	VFMLA V3.D2, V4.D2, V8.D2
-	VST1 [V5.D2, V6.D2, V7.D2, V8.D2], (R8)
-	ADD  $1, R6
-	B    s8loop
-s8done:
-	RET
-
-// func ScatterSaxpy16(val []float64, idx []int, brow *[16]float64, out []float64, stride int)
-TEXT ·ScatterSaxpy16(SB), NOSPLIT, $0-88
-	MOVD val_base+0(FP), R0
-	MOVD val_len+8(FP), R1
-	MOVD idx_base+24(FP), R2
-	MOVD brow+48(FP), R9
-	MOVD out_base+56(FP), R3
-	MOVD stride+80(FP), R4
-	LSL  $3, R4
-	ADD  $64, R9, R10
-	VLD1 (R9), [V0.D2, V1.D2, V2.D2, V3.D2]
-	VLD1 (R10), [V16.D2, V17.D2, V18.D2, V19.D2]
-	MOVD $0, R6
-s16loop:
-	CMP  R1, R6
-	BGE  s16done
-	MOVD (R2)(R6<<3), R7
-	MUL  R4, R7, R7
-	ADD  R3, R7, R8
-	FMOVD (R0)(R6<<3), F4
-	VDUP V4.D[0], V4.D2
-	MOVD R8, R11
-	VLD1.P 64(R11), [V8.D2, V9.D2, V10.D2, V11.D2]
-	VLD1 (R11), [V12.D2, V13.D2, V14.D2, V15.D2]
-	VFMLA V0.D2, V4.D2, V8.D2
-	VFMLA V1.D2, V4.D2, V9.D2
-	VFMLA V2.D2, V4.D2, V10.D2
-	VFMLA V3.D2, V4.D2, V11.D2
-	VFMLA V16.D2, V4.D2, V12.D2
-	VFMLA V17.D2, V4.D2, V13.D2
-	VFMLA V18.D2, V4.D2, V14.D2
-	VFMLA V19.D2, V4.D2, V15.D2
-	VST1.P [V8.D2, V9.D2, V10.D2, V11.D2], 64(R8)
-	VST1 [V12.D2, V13.D2, V14.D2, V15.D2], (R8)
-	ADD  $1, R6
-	B    s16loop
-s16done:
 	RET
 
 // func SaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64)
@@ -291,12 +222,6 @@ TEXT ·GatherSaxpy8FMA(SB), NOSPLIT, $0-88
 
 TEXT ·GatherSaxpy16FMA(SB), NOSPLIT, $0-88
 	B ·GatherSaxpy16(SB)
-
-TEXT ·ScatterSaxpy8FMA(SB), NOSPLIT, $0-88
-	B ·ScatterSaxpy8(SB)
-
-TEXT ·ScatterSaxpy16FMA(SB), NOSPLIT, $0-88
-	B ·ScatterSaxpy16(SB)
 
 TEXT ·SaxpyRows8FMA(SB), NOSPLIT, $0-64
 	B ·SaxpyRows8(SB)

@@ -28,14 +28,6 @@ func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]f
 	refGatherSaxpy16(val, idx, b, stride, acc)
 }
 
-func ScatterSaxpy8(val []float64, idx []int, brow *[8]float64, out []float64, stride int) {
-	refScatterSaxpy8(val, idx, brow, out, stride)
-}
-
-func ScatterSaxpy16(val []float64, idx []int, brow *[16]float64, out []float64, stride int) {
-	refScatterSaxpy16(val, idx, brow, out, stride)
-}
-
 func SaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64) {
 	refSaxpyRows8(a, b, stride, acc)
 }
@@ -58,14 +50,6 @@ func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]
 
 func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64) {
 	refGatherSaxpy16FMA(val, idx, b, stride, acc)
-}
-
-func ScatterSaxpy8FMA(val []float64, idx []int, brow *[8]float64, out []float64, stride int) {
-	refScatterSaxpy8FMA(val, idx, brow, out, stride)
-}
-
-func ScatterSaxpy16FMA(val []float64, idx []int, brow *[16]float64, out []float64, stride int) {
-	refScatterSaxpy16FMA(val, idx, brow, out, stride)
 }
 
 func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64) {

@@ -78,51 +78,6 @@ func TestGatherSaxpyBitwise(t *testing.T) {
 	}
 }
 
-func TestScatterSaxpyBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, stride := range []int{8, 16, 24} {
-		for _, nnz := range []int{0, 1, 5, 33} {
-			val := fill(r, nnz)
-			// Distinct indices: duplicate rows would still be bitwise
-			// deterministic (ascending p), but distinct rows also let us
-			// compare against an independently seeded copy.
-			idx := r.Perm(40)[:nnz]
-			if stride >= 8 {
-				var brow [8]float64
-				copy(brow[:], fill(r, 8))
-				got := fill(r, 40*stride)
-				want := append([]float64(nil), got...)
-				ScatterSaxpy8(val, idx, &brow, got, stride)
-				refScatterSaxpy8(val, idx, &brow, want, stride)
-				if !sameBits(got, want) {
-					t.Fatalf("ScatterSaxpy8 stride=%d nnz=%d diverged", stride, nnz)
-				}
-				ScatterSaxpy8FMA(val, idx, &brow, got, stride)
-				refScatterSaxpy8FMA(val, idx, &brow, want, stride)
-				if !sameBits(got, want) {
-					t.Fatalf("ScatterSaxpy8FMA stride=%d nnz=%d diverged", stride, nnz)
-				}
-			}
-			if stride >= 16 {
-				var brow [16]float64
-				copy(brow[:], fill(r, 16))
-				got := fill(r, 40*stride)
-				want := append([]float64(nil), got...)
-				ScatterSaxpy16(val, idx, &brow, got, stride)
-				refScatterSaxpy16(val, idx, &brow, want, stride)
-				if !sameBits(got, want) {
-					t.Fatalf("ScatterSaxpy16 stride=%d nnz=%d diverged", stride, nnz)
-				}
-				ScatterSaxpy16FMA(val, idx, &brow, got, stride)
-				refScatterSaxpy16FMA(val, idx, &brow, want, stride)
-				if !sameBits(got, want) {
-					t.Fatalf("ScatterSaxpy16FMA stride=%d nnz=%d diverged", stride, nnz)
-				}
-			}
-		}
-	}
-}
-
 func TestSaxpyRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, stride := range []int{8, 16, 32} {

@@ -3,49 +3,12 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"gebe/internal/cpu"
 	"gebe/internal/dense"
 	"gebe/internal/par"
 )
-
-// Strategy selects how the engine executes W and Wᵀ products.
-type Strategy int
-
-const (
-	// StrategyAuto is the shape-aware default: nnz-balanced row
-	// partitions on the persistent worker pool, register-blocked kernels
-	// picked per block width, and Wᵀ products routed through a cached
-	// transpose so they run as race-free row-parallel gathers.
-	StrategyAuto Strategy = iota
-	// StrategyScatter keeps nnz-balanced scheduling and blocked kernels
-	// but never builds the cached transpose: Wᵀ products scatter into
-	// per-worker private accumulators that are reduced at the end. Use it
-	// for one-shot products on throwaway matrices where doubling the
-	// matrix footprint for a single call is a bad trade.
-	StrategyScatter
-	// StrategyLegacy reproduces the pre-engine behavior exactly —
-	// equal-row-count shards, a fresh goroutine set per call, the generic
-	// kernel, parallelism gated on row count — and exists as the measured
-	// baseline for BENCH_SPMM and the equivalence tests.
-	StrategyLegacy
-)
-
-// String names the strategy as it appears in metrics and BENCH_SPMM.json.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyScatter:
-		return "scatter"
-	case StrategyLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
 
 // DefaultMinParallelNNZ is the nonzero count below which products run
 // sequentially: under ~32Ki multiply-adds per output column the fork/join
@@ -58,8 +21,6 @@ const DefaultMinParallelNNZ = 1 << 15
 type Tuning struct {
 	// Threads caps the number of parallel partitions (<=1 sequential).
 	Threads int
-	// Strategy picks the execution plan; see the Strategy constants.
-	Strategy Strategy
 	// MinParallelNNZ gates parallelism on the product's nonzero count;
 	// 0 selects DefaultMinParallelNNZ. The gate deliberately ignores row
 	// count: a short-and-wide matrix with millions of nonzeros (a Wᵀ
@@ -67,8 +28,7 @@ type Tuning struct {
 	MinParallelNNZ int
 	// Kernels picks the kernel flavor (Go scalar, SIMD, or fused SIMD).
 	// The zero value KernelAuto follows GEBE_SIMD and hardware support;
-	// explicit requests are clamped to what the CPU can run. Ignored by
-	// StrategyLegacy, which always runs the scalar generic kernels.
+	// explicit requests are clamped to what the CPU can run.
 	Kernels cpu.KernelMode
 }
 
@@ -83,12 +43,7 @@ func (t Tuning) Validate() error {
 	if !t.Kernels.Valid() {
 		return fmt.Errorf("sparse: unknown Tuning.Kernels %d", int(t.Kernels))
 	}
-	switch t.Strategy {
-	case StrategyAuto, StrategyScatter, StrategyLegacy:
-		return nil
-	default:
-		return fmt.Errorf("sparse: unknown Tuning.Strategy %d", int(t.Strategy))
-	}
+	return nil
 }
 
 // workers returns the partition count for a product with the given shape:
@@ -146,19 +101,14 @@ func (m *CSR) MulDenseOpts(b *dense.Matrix, t Tuning) *dense.Matrix {
 	}
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	if t.Strategy == StrategyLegacy {
-		out := m.legacyMulDense(b, t.Threads)
-		km.record(opMul, t0, m.NNZ(), b.Cols, "legacy", "generic")
-		return out
-	}
 	out, kname := m.mulRowParallel(b, t)
-	km.record(opMul, t0, m.NNZ(), b.Cols, "rowpar", kname)
+	km.record(opMul, t0, m.NNZ(), b.Cols, kname)
 	return out
 }
 
-// mulRowParallel is the shared gather plan: nnz-balanced row partitions on
-// the pool, blocked kernel per partition. It also serves Wᵀ products once
-// they are rewritten as products of the cached transpose.
+// mulRowParallel is the gather plan every block product runs:
+// nnz-balanced row partitions on the pool, blocked kernel per partition.
+// It also serves Wᵀ products, as products of the cached transpose.
 func (m *CSR) mulRowParallel(b *dense.Matrix, t Tuning) (*dense.Matrix, string) {
 	out := dense.New(m.Rows, b.Cols)
 	k := b.Cols
@@ -175,55 +125,19 @@ func (m *CSR) mulRowParallel(b *dense.Matrix, t Tuning) (*dense.Matrix, string) 
 	return out, kname
 }
 
-// TMulDenseOpts computes mᵀ · b under the given tuning. The default plan
-// routes through the cached transpose (built once per matrix) and runs
-// the same race-free row-parallel gather as MulDenseOpts, eliminating the
-// per-worker private accumulators and the O(workers·Cols·k) reduction the
-// scatter plan pays on every call.
+// TMulDenseOpts computes mᵀ · b under the given tuning. It routes through
+// the cached transpose (built once per matrix) and runs the same
+// race-free row-parallel gather as MulDenseOpts, so no worker needs a
+// private accumulator and nothing is reduced at the end.
 func (m *CSR) TMulDenseOpts(b *dense.Matrix, t Tuning) *dense.Matrix {
 	if m.Rows != b.Rows {
 		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	switch t.Strategy {
-	case StrategyLegacy:
-		out := m.legacyTMulDense(b, t.Threads)
-		km.record(opTMul, t0, m.NNZ(), b.Cols, "legacy", "generic")
-		return out
-	case StrategyScatter:
-		out, kname := m.scatterTMulDense(b, t)
-		km.record(opTMul, t0, m.NNZ(), b.Cols, "scatter", kname)
-		return out
-	default:
-		out, kname := m.Transpose().mulRowParallel(b, t)
-		km.record(opTMul, t0, m.NNZ(), b.Cols, "gather", kname)
-		return out
-	}
-}
-
-// scatterTMulDense is the transpose-free plan: nnz-balanced partitions of
-// m's rows scatter into private accumulators reduced at the end.
-func (m *CSR) scatterTMulDense(b *dense.Matrix, t Tuning) (*dense.Matrix, string) {
-	k := b.Cols
-	kern, kname := dispatchTMul(k, t.Kernels)
-	nw := t.workers(m.NNZ(), m.Rows)
-	if nw <= 1 {
-		out := dense.New(m.Cols, k)
-		kern(m, b.Data, out.Data, k, 0, m.Rows)
-		return out, kname
-	}
-	bounds := nnzPartition(m.RowPtr, nw)
-	partials := make([]*dense.Matrix, nw)
-	par.Parts(nw, func(w int) {
-		partials[w] = dense.New(m.Cols, k)
-		kern(m, b.Data, partials[w].Data, k, bounds[w], bounds[w+1])
-	})
-	out := partials[0]
-	for w := 1; w < nw; w++ {
-		out.AddScaled(1, partials[w])
-	}
-	return out, kname
+	out, kname := m.Transpose().mulRowParallel(b, t)
+	km.record(opTMul, t0, m.NNZ(), b.Cols, kname)
+	return out
 }
 
 // MulVecOpts computes m · x under the given tuning.
@@ -233,181 +147,36 @@ func (m *CSR) MulVecOpts(x []float64, t Tuning) []float64 {
 	}
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	out := make([]float64, m.Rows)
-	if t.Strategy == StrategyLegacy {
-		legacyParallelRows(m.Rows, t.Threads, func(lo, hi int) {
-			mulVecRange(m, x, out, lo, hi)
-		})
-		km.record(opMulVec, t0, m.NNZ(), 1, "legacy", "dot")
-		return out
-	}
-	nw := t.workers(m.NNZ(), m.Rows)
-	if nw <= 1 {
-		mulVecRange(m, x, out, 0, m.Rows)
-	} else {
-		bounds := nnzPartition(m.RowPtr, nw)
-		par.Parts(nw, func(w int) {
-			mulVecRange(m, x, out, bounds[w], bounds[w+1])
-		})
-	}
-	km.record(opMulVec, t0, m.NNZ(), 1, "rowpar", "dot")
+	out := m.mulVecRowParallel(x, t)
+	km.record(opMulVec, t0, m.NNZ(), 1, "dot")
 	return out
 }
 
-// TMulVecOpts computes mᵀ · x under the given tuning; the default plan is
-// the same cached-transpose gather as TMulDenseOpts.
+// TMulVecOpts computes mᵀ · x under the given tuning: the same
+// cached-transpose gather as TMulDenseOpts.
 func (m *CSR) TMulVecOpts(x []float64, t Tuning) []float64 {
 	if m.Rows != len(x) {
 		panic(fmt.Sprintf("sparse: TMulVec shape mismatch (%dx%d)ᵀ * %d", m.Rows, m.Cols, len(x)))
 	}
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	switch t.Strategy {
-	case StrategyLegacy:
-		out := m.legacyTMulVec(x, t.Threads)
-		km.record(opTMulVec, t0, m.NNZ(), 1, "legacy", "scatter")
-		return out
-	case StrategyScatter:
-		out := m.scatterTMulVec(x, t)
-		km.record(opTMulVec, t0, m.NNZ(), 1, "scatter", "scatter")
-		return out
-	default:
-		wt := m.Transpose()
-		out := make([]float64, m.Cols)
-		nw := t.workers(wt.NNZ(), wt.Rows)
-		if nw <= 1 {
-			mulVecRange(wt, x, out, 0, wt.Rows)
-		} else {
-			bounds := nnzPartition(wt.RowPtr, nw)
-			par.Parts(nw, func(w int) {
-				mulVecRange(wt, x, out, bounds[w], bounds[w+1])
-			})
-		}
-		km.record(opTMulVec, t0, m.NNZ(), 1, "gather", "dot")
-		return out
-	}
+	out := m.Transpose().mulVecRowParallel(x, t)
+	km.record(opTMulVec, t0, m.NNZ(), 1, "dot")
+	return out
 }
 
-func (m *CSR) scatterTMulVec(x []float64, t Tuning) []float64 {
+// mulVecRowParallel is mulRowParallel's k=1 form on the dot kernel.
+func (m *CSR) mulVecRowParallel(x []float64, t Tuning) []float64 {
+	out := make([]float64, m.Rows)
 	nw := t.workers(m.NNZ(), m.Rows)
 	if nw <= 1 {
-		out := make([]float64, m.Cols)
-		m.tMulVecRange(x, out, 0, m.Rows)
+		mulVecRange(m, x, out, 0, m.Rows)
 		return out
 	}
 	bounds := nnzPartition(m.RowPtr, nw)
-	partials := make([][]float64, nw)
 	par.Parts(nw, func(w int) {
-		partials[w] = make([]float64, m.Cols)
-		m.tMulVecRange(x, partials[w], bounds[w], bounds[w+1])
+		mulVecRange(m, x, out, bounds[w], bounds[w+1])
 	})
-	out := partials[0]
-	for w := 1; w < nw; w++ {
-		for j, v := range partials[w] {
-			out[j] += v
-		}
-	}
-	return out
-}
-
-// --- Legacy plan (pre-engine behavior, kept as the measured baseline) ---
-
-// legacyWorkerCount is the historical gate: parallelism keyed on row
-// count alone, which leaves short-and-wide products sequential no matter
-// how many nonzeros they carry.
-func legacyWorkerCount(rows, threads int) int {
-	if threads < 1 {
-		threads = 1
-	}
-	if rows < 4096 {
-		return 1
-	}
-	return threads
-}
-
-func legacyParallelRows(rows, threads int, f func(lo, hi int)) {
-	nw := legacyWorkerCount(rows, threads)
-	if nw <= 1 {
-		f(0, rows)
-		return
-	}
-	chunk := (rows + nw - 1) / nw
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func (m *CSR) legacyMulDense(b *dense.Matrix, threads int) *dense.Matrix {
-	out := dense.New(m.Rows, b.Cols)
-	legacyParallelRows(m.Rows, threads, func(lo, hi int) {
-		mulGeneric(m, b.Data, out.Data, b.Cols, lo, hi)
-	})
-	return out
-}
-
-func (m *CSR) legacyTMulDense(b *dense.Matrix, threads int) *dense.Matrix {
-	nw := legacyWorkerCount(m.Rows, threads)
-	k := b.Cols
-	if nw <= 1 {
-		out := dense.New(m.Cols, k)
-		m.tMulRange(b.Data, out.Data, k, 0, m.Rows)
-		return out
-	}
-	partials := make([]*dense.Matrix, nw)
-	var wg sync.WaitGroup
-	chunk := (m.Rows + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m.Rows)
-		partials[w] = dense.New(m.Cols, k)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m.tMulRange(b.Data, partials[w].Data, k, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := partials[0]
-	for w := 1; w < nw; w++ {
-		out.AddScaled(1, partials[w])
-	}
-	return out
-}
-
-func (m *CSR) legacyTMulVec(x []float64, threads int) []float64 {
-	nw := legacyWorkerCount(m.Rows, threads)
-	if nw <= 1 {
-		out := make([]float64, m.Cols)
-		m.tMulVecRange(x, out, 0, m.Rows)
-		return out
-	}
-	partials := make([][]float64, nw)
-	var wg sync.WaitGroup
-	chunk := (m.Rows + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m.Rows)
-		partials[w] = make([]float64, m.Cols)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m.tMulVecRange(x, partials[w], lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := partials[0]
-	for w := 1; w < nw; w++ {
-		for j, v := range partials[w] {
-			out[j] += v
-		}
-	}
 	return out
 }
 

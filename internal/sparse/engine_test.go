@@ -64,11 +64,9 @@ func skewedCSR(t testing.TB, rows, cols, nnz int, seed uint64) *CSR {
 	return m
 }
 
-var allStrategies = []Strategy{StrategyAuto, StrategyScatter, StrategyLegacy}
-
-// TestEngineEquivalenceAdversarial pins every strategy, kernel width, and
-// thread count to the dense reference on shapes chosen to break them:
-// empty rows, hub rows/columns, and every block width from 1 through 17
+// TestEngineEquivalenceAdversarial pins every kernel width and thread
+// count to the dense reference on shapes chosen to break them: empty
+// rows, hub rows/columns, and every block width from 1 through 17
 // (covering each specialized kernel, the panel path, and the generic
 // fallback on either side of them).
 func TestEngineEquivalenceAdversarial(t *testing.T) {
@@ -90,38 +88,92 @@ func TestEngineEquivalenceAdversarial(t *testing.T) {
 			c := dense.Random(sh.rows, k, rng(uint64(k)+99))
 			wantMul := dense.Mul(md, b)
 			wantTMul := dense.Mul(mdT, c)
-			for _, strat := range allStrategies {
-				for _, threads := range []int{1, 4} {
-					// Force the parallel path even on tiny shapes.
-					tn := Tuning{Threads: threads, Strategy: strat, MinParallelNNZ: 1}
-					name := fmt.Sprintf("%dx%d/k=%d/%v/t=%d", sh.rows, sh.cols, k, strat, threads)
-					if got := m.MulDenseOpts(b, tn); !dense.Equal(got, wantMul, 1e-10) {
-						t.Errorf("%s: MulDense mismatch", name)
-					}
-					if got := m.TMulDenseOpts(c, tn); !dense.Equal(got, wantTMul, 1e-10) {
-						t.Errorf("%s: TMulDense mismatch", name)
-					}
+			for _, threads := range []int{1, 4} {
+				// Force the parallel path even on tiny shapes.
+				tn := Tuning{Threads: threads, MinParallelNNZ: 1}
+				name := fmt.Sprintf("%dx%d/k=%d/t=%d", sh.rows, sh.cols, k, threads)
+				if got := m.MulDenseOpts(b, tn); !dense.Equal(got, wantMul, 1e-10) {
+					t.Errorf("%s: MulDense mismatch", name)
+				}
+				if got := m.TMulDenseOpts(c, tn); !dense.Equal(got, wantTMul, 1e-10) {
+					t.Errorf("%s: TMulDense mismatch", name)
 				}
 			}
 		}
 		// Vector paths (k=1 lowering).
 		x := dense.Random(sh.cols, 1, rng(7)).Data
 		y := dense.Random(sh.rows, 1, rng(8)).Data
-		for _, strat := range allStrategies {
-			tn := Tuning{Threads: 4, Strategy: strat, MinParallelNNZ: 1}
-			mx := m.MulVecOpts(x, tn)
-			for i := range mx {
-				if math.Abs(mx[i]-dense.Dot(md.Row(i), x)) > 1e-10 {
-					t.Fatalf("%dx%d/%v: MulVec row %d mismatch", sh.rows, sh.cols, strat, i)
-				}
+		tn := Tuning{Threads: 4, MinParallelNNZ: 1}
+		mx := m.MulVecOpts(x, tn)
+		for i := range mx {
+			if math.Abs(mx[i]-dense.Dot(md.Row(i), x)) > 1e-10 {
+				t.Fatalf("%dx%d: MulVec row %d mismatch", sh.rows, sh.cols, i)
 			}
-			my := m.TMulVecOpts(y, tn)
-			for j := range my {
-				if math.Abs(my[j]-dense.Dot(mdT.Row(j), y)) > 1e-10 {
-					t.Fatalf("%dx%d/%v: TMulVec col %d mismatch", sh.rows, sh.cols, strat, j)
+		}
+		my := m.TMulVecOpts(y, tn)
+		for j := range my {
+			if math.Abs(my[j]-dense.Dot(mdT.Row(j), y)) > 1e-10 {
+				t.Fatalf("%dx%d: TMulVec col %d mismatch", sh.rows, sh.cols, j)
+			}
+		}
+	}
+}
+
+// TestEngineMatchesReferenceBitwise pins the engine to the reference
+// loops it replaced: a sequential engine product accumulates every
+// output element in the same ascending order as the reference (the
+// cached transpose lists each column's entries by ascending row, which
+// is the order the reference scatter visits them), so the results are
+// bitwise equal for every width 1..33 and for the Go and SIMD flavors
+// alike. The parallel engine only moves row boundaries, never a sum, so
+// it must match bitwise too; the reference's own threads leave its
+// answer unchanged on these (under 4096-row) shapes.
+func TestEngineMatchesReferenceBitwise(t *testing.T) {
+	flavors := []cpu.KernelMode{cpu.KernelGo}
+	if cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD {
+		flavors = append(flavors, cpu.KernelSIMD)
+	}
+	matrices := []*CSR{
+		adversarialCSR(t, 60, 35, 500, 3),
+		skewedCSR(t, 120, 40, 2000, 4),
+		adversarialCSR(t, 40, 17, 0, 5), // fully empty
+		adversarialCSR(t, 31, 200, 900, 6),
+	}
+	for mi, m := range matrices {
+		for k := 1; k <= 33; k++ {
+			b := dense.Random(m.Cols, k, rng(uint64(100*mi+k)))
+			c := dense.Random(m.Rows, k, rng(uint64(100*mi+k)+7))
+			wantMul := m.ReferenceMulDense(b, 4)
+			wantT := m.ReferenceTMulDense(c, 4)
+			for _, fl := range flavors {
+				for _, threads := range []int{1, 3} {
+					tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
+					name := fmt.Sprintf("m%d/k=%d/%v/t=%d", mi, k, fl, threads)
+					if i, ok := bitsEqual(m.MulDenseOpts(b, tn).Data, wantMul.Data); !ok {
+						t.Fatalf("%s: MulDense diverges from the reference at %d", name, i)
+					}
+					if i, ok := bitsEqual(m.TMulDenseOpts(c, tn).Data, wantT.Data); !ok {
+						t.Fatalf("%s: TMulDense diverges from the reference at %d", name, i)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestReferenceThreadsAgree checks the reference loops' own threaded
+// path (taken only from 4096 rows) against their sequential one; the
+// Wᵀ fold of per-worker partials reorders sums, so it gets round-off
+// slack.
+func TestReferenceThreadsAgree(t *testing.T) {
+	m := skewedCSR(t, 5000, 300, 40000, 7)
+	b := dense.Random(m.Cols, 8, rng(8))
+	c := dense.Random(m.Rows, 8, rng(9))
+	if i, ok := bitsEqual(m.ReferenceMulDense(b, 4).Data, m.ReferenceMulDense(b, 1).Data); !ok {
+		t.Fatalf("threaded ReferenceMulDense diverges at %d", i)
+	}
+	if !dense.Equal(m.ReferenceTMulDense(c, 4), m.ReferenceTMulDense(c, 1), 1e-10) {
+		t.Fatal("threaded ReferenceTMulDense disagrees with the sequential loop")
 	}
 }
 
@@ -190,8 +242,8 @@ func TestWorkersGateOnNNZ(t *testing.T) {
 func TestTuningValidate(t *testing.T) {
 	good := []Tuning{
 		{},
-		{Threads: 16, Strategy: StrategyScatter, MinParallelNNZ: 1024},
-		{Strategy: StrategyLegacy},
+		{Threads: 16, MinParallelNNZ: 1024},
+		{Kernels: cpu.KernelFMA},
 	}
 	for _, tn := range good {
 		if err := tn.Validate(); err != nil {
@@ -201,7 +253,7 @@ func TestTuningValidate(t *testing.T) {
 	bad := []Tuning{
 		{Threads: -1},
 		{MinParallelNNZ: -5},
-		{Strategy: Strategy(42)},
+		{Kernels: cpu.KernelMode(42)},
 	}
 	for _, tn := range bad {
 		if err := tn.Validate(); err == nil {
@@ -270,8 +322,9 @@ func TestConcurrentProductsOnSharedPool(t *testing.T) {
 }
 
 // TestFMACountsStrategyInvariant pins the acceptance invariant: every
-// strategy books exactly nnz·k multiply-adds per product, so the fma
-// counter certifies identical work across dispatch choices.
+// execution the engine can pick (thread count × kernel flavor) books
+// exactly nnz·k multiply-adds per product, so the fma counter certifies
+// identical work across dispatch choices.
 func TestFMACountsStrategyInvariant(t *testing.T) {
 	m := adversarialCSR(t, 80, 40, 600, 31)
 	b := dense.Random(40, 8, rng(32))
@@ -279,33 +332,35 @@ func TestFMACountsStrategyInvariant(t *testing.T) {
 	x := dense.Random(40, 1, rng(34)).Data
 	y := dense.Random(80, 1, rng(35)).Data
 	defer EnableMetrics(nil)
-	for _, strat := range allStrategies {
-		reg := obs.NewRegistry()
-		EnableMetrics(reg)
-		tn := Tuning{Threads: 4, Strategy: strat, MinParallelNNZ: 1}
-		m.MulDenseOpts(b, tn)
-		m.TMulDenseOpts(c, tn)
-		m.MulVecOpts(x, tn)
-		m.TMulVecOpts(y, tn)
-		want := float64(m.NNZ())*8*2 + float64(m.NNZ())*1*2
-		got := reg.Counter("sparse_spmm_fma_total", "").Value()
-		if got != want {
-			t.Errorf("%v: fma=%v, want %v", strat, got, want)
-		}
-		for _, name := range []string{
-			"sparse_spmm_calls_total", "sparse_spmm_t_calls_total",
-			"sparse_spmv_calls_total", "sparse_spmv_t_calls_total",
-		} {
-			if v := reg.Counter(name, "").Value(); v != 1 {
-				t.Errorf("%v: %s=%v, want 1", strat, name, v)
+	for _, threads := range []int{1, 4} {
+		for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA} {
+			reg := obs.NewRegistry()
+			EnableMetrics(reg)
+			tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
+			m.MulDenseOpts(b, tn)
+			m.TMulDenseOpts(c, tn)
+			m.MulVecOpts(x, tn)
+			m.TMulVecOpts(y, tn)
+			want := float64(m.NNZ())*8*2 + float64(m.NNZ())*1*2
+			got := reg.Counter("sparse_spmm_fma_total", "").Value()
+			if got != want {
+				t.Errorf("t=%d/%v: fma=%v, want %v", threads, fl, got, want)
+			}
+			for _, name := range []string{
+				"sparse_spmm_calls_total", "sparse_spmm_t_calls_total",
+				"sparse_spmv_calls_total", "sparse_spmv_t_calls_total",
+			} {
+				if v := reg.Counter(name, "").Value(); v != 1 {
+					t.Errorf("t=%d/%v: %s=%v, want 1", threads, fl, name, v)
+				}
 			}
 		}
 	}
 }
 
-// TestStrategyAndKernelCounters checks the per-strategy dispatch counters
-// the engine exports.
-func TestStrategyAndKernelCounters(t *testing.T) {
+// TestKernelCounters checks the per-kernel dispatch counters the engine
+// exports.
+func TestKernelCounters(t *testing.T) {
 	m := randomCSR(t, 50, 30, 400, 41)
 	defer EnableMetrics(nil)
 	reg := obs.NewRegistry()
@@ -314,21 +369,18 @@ func TestStrategyAndKernelCounters(t *testing.T) {
 	// counter names hold on every CPU; flavor naming is covered by
 	// TestSIMDKernelNames.
 	goK := Tuning{Kernels: cpu.KernelGo}
-	m.MulDenseOpts(dense.Random(30, 8, rng(42)), goK)                                                       // rowpar + k8
-	m.TMulDenseOpts(dense.Random(50, 16, rng(43)), goK)                                                     // gather + k16
-	m.TMulDenseOpts(dense.Random(50, 3, rng(44)), Tuning{Strategy: StrategyScatter, Kernels: cpu.KernelGo}) // scatter
-	m.MulDenseOpts(dense.Random(30, 24, rng(45)), Tuning{Strategy: StrategyLegacy})                         // legacy
-	m.MulDenseOpts(dense.Random(30, 24, rng(46)), goK)                                                      // rowpar + panel8
+	m.MulDenseOpts(dense.Random(30, 8, rng(42)), goK)   // k8
+	m.TMulDenseOpts(dense.Random(50, 16, rng(43)), goK) // k16 on the transpose
+	m.TMulDenseOpts(dense.Random(50, 3, rng(44)), goK)  // generic
+	m.MulDenseOpts(dense.Random(30, 5, rng(45)), goK)   // generic
+	m.MulDenseOpts(dense.Random(30, 24, rng(46)), goK)  // panel8
+	m.MulVecOpts(dense.Random(30, 1, rng(47)).Data, goK)
 	checks := map[string]float64{
-		"sparse_spmm_strategy_rowpar_total":  2,
-		"sparse_spmm_strategy_gather_total":  1,
-		"sparse_spmm_strategy_scatter_total": 1,
-		"sparse_spmm_strategy_legacy_total":  1,
-		"sparse_spmm_kernel_k8_total":        1,
-		"sparse_spmm_kernel_k16_total":       1,
-		"sparse_spmm_kernel_panel8_total":    1,
-		"sparse_spmm_kernel_scatter_total":   1,
-		"sparse_spmm_kernel_generic_total":   1,
+		"sparse_spmm_kernel_k8_total":      1,
+		"sparse_spmm_kernel_k16_total":     1,
+		"sparse_spmm_kernel_panel8_total":  1,
+		"sparse_spmm_kernel_generic_total": 2,
+		"sparse_spmm_kernel_dot_total":     1,
 	}
 	for name, want := range checks {
 		if got := reg.Counter(name, "").Value(); got != want {
@@ -346,19 +398,22 @@ func benchMatrices(b *testing.B) (uniform, skewed *CSR) {
 func BenchmarkSpMMMulDense(b *testing.B) {
 	uniform, skewed := benchMatrices(b)
 	blk := dense.Random(8000, 32, rng(93))
+	tn := Tuning{Threads: 4}
 	for _, tc := range []struct {
 		name string
 		m    *CSR
-		tn   Tuning
 	}{
-		{"uniform/legacy", uniform, Tuning{Threads: 4, Strategy: StrategyLegacy}},
-		{"uniform/tuned", uniform, Tuning{Threads: 4}},
-		{"skewed/legacy", skewed, Tuning{Threads: 4, Strategy: StrategyLegacy}},
-		{"skewed/tuned", skewed, Tuning{Threads: 4}},
+		{"uniform", uniform},
+		{"skewed", skewed},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
+		b.Run(tc.name+"/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tc.m.MulDenseOpts(blk, tc.tn)
+				tc.m.ReferenceMulDense(blk, 4)
+			}
+		})
+		b.Run(tc.name+"/tuned", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tc.m.MulDenseOpts(blk, tn)
 			}
 		})
 	}
@@ -366,7 +421,7 @@ func BenchmarkSpMMMulDense(b *testing.B) {
 
 // TMulDense is benchmarked in both orientations: tall (output on the
 // small side) and wide (output on the large side — the Wᵀ-block shape
-// where the scatter plan's per-worker accumulators are most expensive).
+// where the reference loop's per-worker accumulators are most expensive).
 func BenchmarkSpMMTMulDense(b *testing.B) {
 	uniform, skewed := benchMatrices(b)
 	wide := skewedCSR(b, 8000, 30000, 600000, 95)
@@ -375,22 +430,24 @@ func BenchmarkSpMMTMulDense(b *testing.B) {
 	uniform.Transpose() // pay the one-time builds outside the timer
 	skewed.Transpose()
 	wide.Transpose()
+	tn := Tuning{Threads: 4}
 	for _, tc := range []struct {
 		name string
 		m    *CSR
 		blk  *dense.Matrix
-		tn   Tuning
 	}{
-		{"uniform/legacy", uniform, tall, Tuning{Threads: 4, Strategy: StrategyLegacy}},
-		{"uniform/tuned", uniform, tall, Tuning{Threads: 4}},
-		{"skewed/legacy", skewed, tall, Tuning{Threads: 4, Strategy: StrategyLegacy}},
-		{"skewed/tuned", skewed, tall, Tuning{Threads: 4}},
-		{"skewed-wide/legacy", wide, short, Tuning{Threads: 4, Strategy: StrategyLegacy}},
-		{"skewed-wide/tuned", wide, short, Tuning{Threads: 4}},
+		{"uniform", uniform, tall},
+		{"skewed", skewed, tall},
+		{"skewed-wide", wide, short},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
+		b.Run(tc.name+"/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tc.m.TMulDenseOpts(tc.blk, tc.tn)
+				tc.m.ReferenceTMulDense(tc.blk, 4)
+			}
+		})
+		b.Run(tc.name+"/tuned", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tc.m.TMulDenseOpts(tc.blk, tn)
 			}
 		})
 	}

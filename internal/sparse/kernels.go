@@ -5,9 +5,9 @@ import "gebe/internal/cpu"
 // The inner SpMM kernels. All of them compute out[i,:] += Σ_p Val[p] ·
 // b[ColIdx[p],:] for rows i in [lo,hi) over row-major b and out with row
 // stride k, and all perform exactly (RowPtr[hi]-RowPtr[lo])·k multiply-
-// adds — the engine's fma counter is strategy- and kernel-independent,
-// which is what lets the equivalence tests assert identical work across
-// dispatch choices.
+// adds — the engine's fma counter is kernel-independent, which is what
+// lets the equivalence tests assert identical work across dispatch
+// choices.
 //
 // The specialized widths keep the whole output row in named scalars for
 // the duration of a matrix row, so the inner nnz loop does k loads and k
@@ -21,18 +21,11 @@ import "gebe/internal/cpu"
 // rows must be zero on entry.
 type mulKernel func(m *CSR, bd, od []float64, k, lo, hi int)
 
-// tmulKernel scatters rows [lo,hi) of mᵀ·b into out (m.Cols × k). Racy
-// under row-sharding unless each worker owns a private out.
-type tmulKernel func(m *CSR, bd, od []float64, k, lo, hi int)
-
-// The dispatch tables. Scalar Go kernels are installed here; the vector
+// The dispatch table. Scalar Go kernels are installed here; the vector
 // flavors register from kernels_simd.go when the CPU supports them, and
 // Pick applies the shared width classification plus fma → simd → go
 // fallback from internal/cpu.
-var (
-	mulKernels  = cpu.NewTable[mulKernel](mulGeneric, "generic")
-	tmulKernels = cpu.NewTable[tmulKernel](tMulGeneric, "scatter")
-)
+var mulKernels = cpu.NewTable[mulKernel](mulGeneric, "generic")
 
 func init() {
 	mulKernels.SetGo(cpu.WidthK4, mulK4, "k4")
@@ -45,11 +38,6 @@ func init() {
 // the requested flavor.
 func dispatchMul(k int, mode cpu.KernelMode) (mulKernel, string) {
 	return mulKernels.Pick(k, mode)
-}
-
-// dispatchTMul picks the scatter kernel for a k-column block.
-func dispatchTMul(k int, mode cpu.KernelMode) (tmulKernel, string) {
-	return tmulKernels.Pick(k, mode)
 }
 
 func mulGeneric(m *CSR, bd, od []float64, k, lo, hi int) {
@@ -172,39 +160,5 @@ func mulVecRange(m *CSR, x, out []float64, lo, hi int) {
 			s += m.Val[p] * x[m.ColIdx[p]]
 		}
 		out[i] = s
-	}
-}
-
-// tMulGeneric adapts tMulRange to the tmulKernel shape for the table.
-func tMulGeneric(m *CSR, bd, od []float64, k, lo, hi int) {
-	m.tMulRange(bd, od, k, lo, hi)
-}
-
-// tMulRange is the scatter kernel for mᵀ·b: rows [lo,hi) of m are
-// scattered into out (m.Cols × k). Racy under row-sharding unless each
-// worker owns a private out.
-func (m *CSR) tMulRange(b, out []float64, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		brow := b[i*k:][:k]
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			w := m.Val[p]
-			orow := out[m.ColIdx[p]*k:][:k]
-			for j, bv := range brow {
-				orow[j] += w * bv
-			}
-		}
-	}
-}
-
-// tMulVecRange is the scatter kernel for mᵀ·x.
-func (m *CSR) tMulVecRange(x, out []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			out[m.ColIdx[p]] += m.Val[p] * xv
-		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"gebe/internal/simd"
 )
 
-// The vector kernel flavors: thin wrappers over internal/simd gather and
-// scatter primitives, registered once per process when the CPU supports
+// The vector kernel flavors: thin wrappers over the internal/simd gather
+// primitives, registered once per process when the CPU supports
 // them. Each wrapper walks rows exactly like its scalar twin — ascending
 // i, ascending p, panels left to right — so every output element sees
 // its terms in the same order and the non-fused flavor stays bitwise
@@ -22,9 +22,6 @@ func init() {
 	mulKernels.Register(cpu.WidthK8, cpu.KernelSIMD, mulK8SIMD, "k8"+sn)
 	mulKernels.Register(cpu.WidthK16, cpu.KernelSIMD, mulK16SIMD, "k16"+sn)
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelSIMD, mulPanel8SIMD, "panel8"+sn)
-	tmulKernels.Register(cpu.WidthK8, cpu.KernelSIMD, tMulK8SIMD, "scatter8"+sn)
-	tmulKernels.Register(cpu.WidthK16, cpu.KernelSIMD, tMulK16SIMD, "scatter16"+sn)
-	tmulKernels.Register(cpu.WidthPanel8, cpu.KernelSIMD, tMulPanel8SIMD, "scatterp8"+sn)
 	if !simd.HasFMA() {
 		return
 	}
@@ -32,9 +29,6 @@ func init() {
 	mulKernels.Register(cpu.WidthK8, cpu.KernelFMA, mulK8FMA, "k8"+fn)
 	mulKernels.Register(cpu.WidthK16, cpu.KernelFMA, mulK16FMA, "k16"+fn)
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelFMA, mulPanel8FMA, "panel8"+fn)
-	tmulKernels.Register(cpu.WidthK8, cpu.KernelFMA, tMulK8FMA, "scatter8"+fn)
-	tmulKernels.Register(cpu.WidthK16, cpu.KernelFMA, tMulK16FMA, "scatter16"+fn)
-	tmulKernels.Register(cpu.WidthPanel8, cpu.KernelFMA, tMulPanel8FMA, "scatterp8"+fn)
 }
 
 func mulK8SIMD(m *CSR, bd, od []float64, _, lo, hi int) {
@@ -111,98 +105,6 @@ func mulPanel8FMA(m *CSR, bd, od []float64, k, lo, hi int) {
 			var acc [8]float64
 			simd.GatherSaxpy8FMA(val, idx, bd[j0:], k, &acc)
 			copy(od[i*k+j0:][:8], acc[:])
-		}
-	}
-}
-
-func tMulK8SIMD(m *CSR, bd, od []float64, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		var brow [8]float64
-		copy(brow[:], bd[i*8:][:8])
-		simd.ScatterSaxpy8(m.Val[rs:re], m.ColIdx[rs:re], &brow, od, 8)
-	}
-}
-
-func tMulK8FMA(m *CSR, bd, od []float64, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		var brow [8]float64
-		copy(brow[:], bd[i*8:][:8])
-		simd.ScatterSaxpy8FMA(m.Val[rs:re], m.ColIdx[rs:re], &brow, od, 8)
-	}
-}
-
-func tMulK16SIMD(m *CSR, bd, od []float64, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		var brow [16]float64
-		copy(brow[:], bd[i*16:][:16])
-		simd.ScatterSaxpy16(m.Val[rs:re], m.ColIdx[rs:re], &brow, od, 16)
-	}
-}
-
-func tMulK16FMA(m *CSR, bd, od []float64, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		var brow [16]float64
-		copy(brow[:], bd[i*16:][:16])
-		simd.ScatterSaxpy16FMA(m.Val[rs:re], m.ColIdx[rs:re], &brow, od, 16)
-	}
-}
-
-func tMulPanel8SIMD(m *CSR, bd, od []float64, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		val, idx := m.Val[rs:re], m.ColIdx[rs:re]
-		brow := bd[i*k:][:k]
-		j0 := 0
-		for ; j0+16 <= k; j0 += 16 {
-			var b16 [16]float64
-			copy(b16[:], brow[j0:])
-			simd.ScatterSaxpy16(val, idx, &b16, od[j0:], k)
-		}
-		for ; j0 < k; j0 += 8 {
-			var b8 [8]float64
-			copy(b8[:], brow[j0:])
-			simd.ScatterSaxpy8(val, idx, &b8, od[j0:], k)
-		}
-	}
-}
-
-func tMulPanel8FMA(m *CSR, bd, od []float64, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
-		val, idx := m.Val[rs:re], m.ColIdx[rs:re]
-		brow := bd[i*k:][:k]
-		j0 := 0
-		for ; j0+16 <= k; j0 += 16 {
-			var b16 [16]float64
-			copy(b16[:], brow[j0:])
-			simd.ScatterSaxpy16FMA(val, idx, &b16, od[j0:], k)
-		}
-		for ; j0 < k; j0 += 8 {
-			var b8 [8]float64
-			copy(b8[:], brow[j0:])
-			simd.ScatterSaxpy8FMA(val, idx, &b8, od[j0:], k)
 		}
 	}
 }

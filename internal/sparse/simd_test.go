@@ -12,7 +12,7 @@ import (
 )
 
 // The SIMD flavor contract at the engine level: for every block width —
-// aligned or not — and every strategy, the non-fused vector kernels must
+// aligned or not — and every thread count, the non-fused vector kernels must
 // reproduce the scalar Go kernels bit for bit, and the fused flavor must
 // stay within a tight relative tolerance. Widths 1..33 sweep both sides
 // of every specialization (k4/k8/k16/panel8) plus the generic fallback;
@@ -63,35 +63,33 @@ func TestSparseSIMDEquivalenceSweep(t *testing.T) {
 		for k := 1; k <= 33; k++ {
 			b := dense.Random(m.Cols, k, rng(uint64(100*mi+k)))
 			c := dense.Random(m.Rows, k, rng(uint64(100*mi+k)+7))
-			for _, strat := range []Strategy{StrategyAuto, StrategyScatter} {
-				for _, threads := range []int{1, 3} {
-					tn := Tuning{Threads: threads, Strategy: strat, MinParallelNNZ: 1}
-					name := fmt.Sprintf("m%d/k=%d/%v/t=%d", mi, k, strat, threads)
+			for _, threads := range []int{1, 3} {
+				tn := Tuning{Threads: threads, MinParallelNNZ: 1}
+				name := fmt.Sprintf("m%d/k=%d/t=%d", mi, k, threads)
 
-					tn.Kernels = cpu.KernelGo
-					wantMul := m.MulDenseOpts(b, tn)
-					wantT := m.TMulDenseOpts(c, tn)
+				tn.Kernels = cpu.KernelGo
+				wantMul := m.MulDenseOpts(b, tn)
+				wantT := m.TMulDenseOpts(c, tn)
 
-					tn.Kernels = cpu.KernelSIMD
-					gotMul := m.MulDenseOpts(b, tn)
-					gotT := m.TMulDenseOpts(c, tn)
-					if i, ok := bitsEqual(gotMul.Data, wantMul.Data); !ok {
-						t.Fatalf("%s: SIMD MulDense diverges at %d: %v != %v", name, i, gotMul.Data[i], wantMul.Data[i])
-					}
-					if i, ok := bitsEqual(gotT.Data, wantT.Data); !ok {
-						t.Fatalf("%s: SIMD TMulDense diverges at %d: %v != %v", name, i, gotT.Data[i], wantT.Data[i])
-					}
+				tn.Kernels = cpu.KernelSIMD
+				gotMul := m.MulDenseOpts(b, tn)
+				gotT := m.TMulDenseOpts(c, tn)
+				if i, ok := bitsEqual(gotMul.Data, wantMul.Data); !ok {
+					t.Fatalf("%s: SIMD MulDense diverges at %d: %v != %v", name, i, gotMul.Data[i], wantMul.Data[i])
+				}
+				if i, ok := bitsEqual(gotT.Data, wantT.Data); !ok {
+					t.Fatalf("%s: SIMD TMulDense diverges at %d: %v != %v", name, i, gotT.Data[i], wantT.Data[i])
+				}
 
-					if !hasFMA {
-						continue
-					}
-					tn.Kernels = cpu.KernelFMA
-					if err := maxRelErr(m.MulDenseOpts(b, tn).Data, wantMul.Data); err > fmaRelTol {
-						t.Fatalf("%s: FMA MulDense rel err %g > %g", name, err, fmaRelTol)
-					}
-					if err := maxRelErr(m.TMulDenseOpts(c, tn).Data, wantT.Data); err > fmaRelTol {
-						t.Fatalf("%s: FMA TMulDense rel err %g > %g", name, err, fmaRelTol)
-					}
+				if !hasFMA {
+					continue
+				}
+				tn.Kernels = cpu.KernelFMA
+				if err := maxRelErr(m.MulDenseOpts(b, tn).Data, wantMul.Data); err > fmaRelTol {
+					t.Fatalf("%s: FMA MulDense rel err %g > %g", name, err, fmaRelTol)
+				}
+				if err := maxRelErr(m.TMulDenseOpts(c, tn).Data, wantT.Data); err > fmaRelTol {
+					t.Fatalf("%s: FMA TMulDense rel err %g > %g", name, err, fmaRelTol)
 				}
 			}
 		}
@@ -113,7 +111,7 @@ func TestSparseSIMDPoolRace(t *testing.T) {
 	simdT := goT
 	simdT.Kernels = cpu.KernelSIMD
 	wantMul := m.MulDenseOpts(b, goT)
-	wantSc := m.TMulDenseOpts(c, Tuning{Threads: 4, MinParallelNNZ: 1, Strategy: StrategyScatter, Kernels: cpu.KernelGo})
+	wantT := m.TMulDenseOpts(c, goT)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -122,9 +120,8 @@ func TestSparseSIMDPoolRace(t *testing.T) {
 					done <- fmt.Errorf("concurrent SIMD MulDense diverged")
 					return
 				}
-				sc := Tuning{Threads: 4, MinParallelNNZ: 1, Strategy: StrategyScatter, Kernels: cpu.KernelSIMD}
-				if _, ok := bitsEqual(m.TMulDenseOpts(c, sc).Data, wantSc.Data); !ok {
-					done <- fmt.Errorf("concurrent SIMD scatter TMulDense diverged")
+				if _, ok := bitsEqual(m.TMulDenseOpts(c, simdT).Data, wantT.Data); !ok {
+					done <- fmt.Errorf("concurrent SIMD TMulDense diverged")
 					return
 				}
 			}
@@ -145,9 +142,6 @@ func TestSIMDKernelNames(t *testing.T) {
 	if _, name := dispatchMul(16, cpu.KernelGo); name != "k16" {
 		t.Errorf("Go k16 kernel named %q, want k16", name)
 	}
-	if _, name := dispatchTMul(24, cpu.KernelGo); name != "scatter" {
-		t.Errorf("Go scatter kernel named %q, want scatter", name)
-	}
 	if !simd.HasSIMD() {
 		return
 	}
@@ -155,9 +149,6 @@ func TestSIMDKernelNames(t *testing.T) {
 	for _, k := range []int{8, 16, 32} {
 		if _, name := dispatchMul(k, cpu.KernelSIMD); !strings.HasSuffix(name, suffix) {
 			t.Errorf("SIMD k=%d kernel named %q, want %q suffix", k, name, suffix)
-		}
-		if _, name := dispatchTMul(k, cpu.KernelSIMD); !strings.HasSuffix(name, suffix) {
-			t.Errorf("SIMD scatter k=%d kernel named %q, want %q suffix", k, name, suffix)
 		}
 	}
 	// Unspecialized widths fall back to the scalar kernel and its name.

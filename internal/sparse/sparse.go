@@ -11,7 +11,9 @@
 // The product entry points come in pairs: MulDense/MulVec and their
 // transposed forms take a plain thread count and run the shape-aware
 // defaults; the *Opts variants accept a Tuning that call sites use to
-// pass scheduling hints (strategy, parallelism gate) down the stack.
+// pass scheduling hints (parallelism gate, kernel flavor) down the stack.
+// The pre-engine loops survive only as the uninstrumented reference in
+// reference.go.
 package sparse
 
 import (
@@ -168,8 +170,8 @@ func (m *CSR) T() *CSR {
 // the matrix is immutable the cache can never go stale; it is what turns
 // every Wᵀ product from a scatter with per-worker accumulators into a
 // race-free row-parallel gather. The cost is one counting sort over the
-// nonzeros plus a second copy of the matrix in memory — pass
-// StrategyScatter for one-shot products where that trade is wrong.
+// nonzeros plus a second copy of the matrix in memory, paid on the first
+// Wᵀ product.
 func (m *CSR) Transpose() *CSR {
 	m.tOnce.Do(func() {
 		km := kernels.Load()
@@ -279,9 +281,9 @@ type kernelMetrics struct {
 	seconds [numOps]*obs.Histogram
 	calls   [numOps]*obs.Counter
 	fma     *obs.Counter
-	// strategy and kernel count which execution plan and which inner
-	// kernel each product dispatched to, one counter per label.
-	strategy, kernel *obs.CounterVec
+	// kernel counts which inner kernel each product dispatched to, one
+	// counter per label.
+	kernel           *obs.CounterVec
 	transposeBuilds  *obs.Counter
 	transposeSeconds *obs.Histogram
 }
@@ -299,7 +301,6 @@ func EnableMetrics(r *obs.Registry) {
 	}
 	km := &kernelMetrics{
 		fma:              r.Counter("sparse_spmm_fma_total", "multiply-adds performed (nnz × block cols)"),
-		strategy:         r.CounterVec("sparse_spmm_strategy", "products executed per engine strategy"),
 		kernel:           r.CounterVec("sparse_spmm_kernel", "products executed per inner kernel"),
 		transposeBuilds:  r.Counter("sparse_transpose_builds_total", "cached transposes materialized"),
 		transposeSeconds: r.Histogram("sparse_transpose_build_seconds", "wall-clock to build a cached transpose", nil),
@@ -322,16 +323,15 @@ func EnableMetrics(r *obs.Registry) {
 }
 
 // record books one product: wall-clock, call count, multiply-adds (nnz·k
-// regardless of strategy or kernel — the invariant the equivalence tests
-// pin), and the dispatch counters. Nil-safe so the disabled path stays
-// branch-only.
-func (km *kernelMetrics) record(o op, t0 time.Time, nnz, k int, strategy, kernel string) {
+// regardless of kernel or thread count — the invariant the equivalence
+// tests pin), and the kernel dispatch counter. Nil-safe so the disabled
+// path stays branch-only.
+func (km *kernelMetrics) record(o op, t0 time.Time, nnz, k int, kernel string) {
 	if km == nil {
 		return
 	}
 	km.seconds[o].ObserveSince(t0)
 	km.calls[o].Inc()
 	km.fma.Add(float64(nnz) * float64(k))
-	km.strategy.With(strategy).Inc()
 	km.kernel.With(kernel).Inc()
 }
