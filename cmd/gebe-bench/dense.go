@@ -13,14 +13,15 @@ import (
 
 // The -dense microbench compares the pre-engine dense reference loops
 // (dense.Reference*: serial generic GEMM loops, column-order Householder
-// QR) against the engine (register-blocked kernels, row-major
-// panel-blocked QR) on the tall-block shapes the solvers produce: n×k
-// operands with n the node count and k the embedding or Krylov width.
-// Each cell cross-checks the two — outputs must agree to 1e-12 (the
-// sequential engine paths are bitwise identical by construction;
-// parallel Aᵀ·B reduction is the one tolerance case) — and the engine
-// must book the operation's shape formula on dense_gemm_fma_total (the
-// reference loops are not instrumented).
+// QR) against the engine (register-blocked kernels, compact-WY blocked
+// QR) on the tall-block shapes the solvers produce: n×k operands with n
+// the node count and k the embedding or Krylov width. Each cell
+// cross-checks the two — outputs must agree to 1e-12 (the sequential
+// GEMM paths are bitwise identical by construction; the parallel Aᵀ·B
+// reduction and the blocked QR, which reassociates the reflector sums
+// and is held to backward-error bounds in its tests, differ by
+// round-off) — and the engine must book the operation's shape formula on
+// dense_gemm_fma_total (the reference loops are not instrumented).
 
 // denseCell is one (op, n, k) measurement in BENCH_DENSE.json.
 type denseCell struct {

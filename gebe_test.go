@@ -129,15 +129,15 @@ func TestSaveLoadEmbedding(t *testing.T) {
 
 func TestReadEmbeddingErrors(t *testing.T) {
 	cases := []string{
-		"",                           // empty
-		"#nope 1 1 1 1\n",            // bad magic
-		"#gebe m 1 1\n",              // short header
-		"#gebe m 1 1 0\n",            // zero k
-		"#gebe m 1 1 2\nu 0 1\n",     // short row
-		"#gebe m 1 1 2\nw 0 1 2\n",   // bad side
-		"#gebe m 1 1 2\nu 5 1 2\n",   // index out of range
-		"#gebe m 1 1 2\nu 0 1 zap\n", // bad float
-		"#gebe m 1 1 2\n#meta\n",      // meta without key/value
+		"",                                       // empty
+		"#nope 1 1 1 1\n",                        // bad magic
+		"#gebe m 1 1\n",                          // short header
+		"#gebe m 1 1 0\n",                        // zero k
+		"#gebe m 1 1 2\nu 0 1\n",                 // short row
+		"#gebe m 1 1 2\nw 0 1 2\n",               // bad side
+		"#gebe m 1 1 2\nu 5 1 2\n",               // index out of range
+		"#gebe m 1 1 2\nu 0 1 zap\n",             // bad float
+		"#gebe m 1 1 2\n#meta\n",                 // meta without key/value
 		"#gebe m 1 1 2\n#meta sweeps zap\n",      // bad meta int
 		"#gebe m 1 1 2\n#meta values 1 zap\n",    // bad meta float
 		"#gebe m 1 1 2\n#meta converged maybe\n", // bad meta bool

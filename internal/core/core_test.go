@@ -58,6 +58,44 @@ func randomBipartite(t testing.TB, nu, nv, ne int, weighted bool, seed uint64) *
 	return g
 }
 
+// plantedBlocks builds a graph of `blocks` disjoint complete co-clusters
+// (uPer users × vPer items each, weights within 10% of the block's
+// strength, strengths growing 4% from one block to the next), plus
+// `noise` light random edges. Each block is nearly rank one, so the top
+// eigenvalues of H come one per block with clear gaps: the leading
+// k < blocks eigenpairs are well determined and the iterative solvers
+// converge to them. (On a random graph the bulk spectrum is so clustered
+// that the k-th eigenvector stays unresolved at the solvers' budgets.)
+func plantedBlocks(t testing.TB, blocks, uPer, vPer, noise int, seed uint64) *bigraph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed+11))
+	seen := map[int64]bool{}
+	var edges []bigraph.Edge
+	add := func(u, v int, w float64) {
+		if key := bigraph.PackEdge(u, v); !seen[key] {
+			seen[key] = true
+			edges = append(edges, bigraph.Edge{U: u, V: v, W: w})
+		}
+	}
+	for c := 0; c < blocks; c++ {
+		scale := math.Pow(1.04, float64(c))
+		for u := c * uPer; u < (c+1)*uPer; u++ {
+			for v := c * vPer; v < (c+1)*vPer; v++ {
+				add(u, v, scale*(1+0.1*rng.Float64()))
+			}
+		}
+	}
+	nu, nv := blocks*uPer, blocks*vPer
+	for i := 0; i < noise; i++ {
+		add(rng.IntN(nu), rng.IntN(nv), 0.1)
+	}
+	g, err := bigraph.New(nu, nv, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestRunningExample reproduces Table 2 of the paper: H under Poisson
 // λ=2 on the Figure 1 graph, plus the MHS ordering conclusion of §2.2.
 func TestRunningExample(t *testing.T) {
@@ -230,6 +268,68 @@ func TestGEBEPMatchesExactPoisson(t *testing.T) {
 	gram2 := dense.MulT(exact.U, exact.U)
 	if !dense.Equal(gram1, gram2, 1e-4) {
 		t.Errorf("U·Uᵀ mismatch (max dev %g)", dense.Sub(gram1, gram2).MaxAbs())
+	}
+}
+
+// TestGEBEPMatchesExactMultiPanel is TestGEBEPMatchesExactPoisson on a
+// 200×160 graph with k=16, large enough that every QR inside the RSVD
+// spans several panels of the blocked factorization — the 24-column
+// Krylov blocks two, the global QR of the 144-column basis nine — with
+// the same tolerances.
+func TestGEBEPMatchesExactMultiPanel(t *testing.T) {
+	g := plantedBlocks(t, 20, 10, 8, 300, 31)
+	lambda := 1.0
+	opt := Options{K: 16, PMF: pmf.NewPoisson(lambda), Lambda: lambda, Tau: 60,
+		Epsilon: 0.01, Seed: 5}
+	gp, err := GEBEP(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ExactEmbedding(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gp.Values {
+		if math.Abs(gp.Values[i]-exact.Values[i]) > 1e-4*(1+exact.Values[i]) {
+			t.Errorf("eigenvalue %d: gebep %v exact %v", i, gp.Values[i], exact.Values[i])
+		}
+	}
+	gram1 := dense.MulT(gp.U, gp.U)
+	gram2 := dense.MulT(exact.U, exact.U)
+	if !dense.Equal(gram1, gram2, 1e-4) {
+		t.Errorf("U·Uᵀ mismatch (max dev %g)", dense.Sub(gram1, gram2).MaxAbs())
+	}
+}
+
+// TestGEBEMatchesExactWideBlock is TestGEBEMatchesExact with k above the
+// QR panel width, so every KSI sweep's QR spans more than one panel.
+func TestGEBEMatchesExactWideBlock(t *testing.T) {
+	for _, om := range []pmf.PMF{pmf.NewUniform(5), pmf.NewGeometric(0.5), pmf.NewPoisson(1)} {
+		g := plantedBlocks(t, 24, 5, 4, 100, 78)
+		opt := Options{K: 20, PMF: om, Tau: 10, Iters: 2000, Tol: 1e-12, Seed: 3, NoAdaptiveStop: true}
+		fast, err := GEBE(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ExactEmbedding(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fast.Values {
+			if math.Abs(fast.Values[i]-exact.Values[i]) > 1e-5*(1+exact.Values[i]) {
+				t.Errorf("%s: eigenvalue %d: %v vs exact %v", om.Name(), i, fast.Values[i], exact.Values[i])
+			}
+		}
+		gramFast := dense.MulT(fast.U, fast.U)
+		gramExact := dense.MulT(exact.U, exact.U)
+		if !dense.Equal(gramFast, gramExact, 1e-5) {
+			t.Errorf("%s: U·Uᵀ mismatch (max dev %g)", om.Name(), dense.Sub(gramFast, gramExact).MaxAbs())
+		}
+		puvFast := dense.MulT(fast.U, fast.V)
+		puvExact := dense.MulT(exact.U, exact.V)
+		if !dense.Equal(puvFast, puvExact, 1e-5) {
+			t.Errorf("%s: U·Vᵀ mismatch (max dev %g)", om.Name(), dense.Sub(puvFast, puvExact).MaxAbs())
+		}
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 )
 
 // ExactEmbedding computes the reference solution U* = Z_k√Λ_k,
-// V* = WᵀU* of Eq. (13) by materializing H densely and running the exact
-// Jacobi eigensolver. Quadratic in |U| — used by tests and by the tiny
-// graphs of the paper's running example to validate the fast solvers.
+// V* = WᵀU* of Eq. (13) by materializing H densely and running the cyclic
+// Jacobi eigensolver (dense.ReferenceSymEig), independent of the
+// tridiagonal-QL SymEig inside the fast solvers. Quadratic in |U| — used
+// by tests and by the tiny graphs of the paper's running example to
+// validate the fast solvers.
 func ExactEmbedding(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(g, false); err != nil {
@@ -21,7 +23,7 @@ func ExactEmbedding(g *bigraph.Graph, opt Options) (*Embedding, error) {
 		return nil, fmt.Errorf("core: ExactEmbedding: %w", err)
 	}
 	h := ExactH(w, opt.PMF, opt.Tau)
-	vals, vecs := dense.SymEig(h)
+	vals, vecs := dense.ReferenceSymEig(h)
 	zk := vecs.SliceCols(0, opt.K)
 	u, v := embedFromEigen(w, zk, vals[:opt.K], opt.spmm())
 	return &Embedding{

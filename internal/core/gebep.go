@@ -74,9 +74,9 @@ func GEBEP(g *bigraph.Graph, opt Options) (*Embedding, error) {
 		"spectral_map_s", mapDur.Seconds(), "elapsed_s", time.Since(start).Seconds())
 	return &Embedding{
 		U: u, V: v,
-		Values:     vals,
-		Method:     "gebep",
-		Sweeps:     0,
+		Values:      vals,
+		Method:      "gebep",
+		Sweeps:      0,
 		Converged:   true,
 		StopReason:  string(linalg.StopConverged),
 		SigmaScale:  sigma,

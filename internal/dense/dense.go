@@ -1,6 +1,8 @@
 // Package dense provides row-major dense float64 matrices and the small
 // set of BLAS-like kernels the GEBE algorithms need: products, transposes,
-// norms, Householder QR, and a cyclic Jacobi symmetric eigensolver.
+// norms, blocked (compact-WY) Householder QR, and a tridiagonal-QL
+// symmetric eigensolver, with the pre-engine loops and a cyclic Jacobi
+// eigensolver kept as references.
 //
 // Matrices are deliberately simple: a header (Rows, Cols) over a flat
 // []float64 backing slice. All operations validate shapes and panic on

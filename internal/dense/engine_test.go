@@ -19,12 +19,12 @@ func newTestRegistry(t *testing.T) *obs.Registry {
 	return reg
 }
 
-// The engine's contract: every path agrees with the reference loops in
-// reference.go. All sequential kernels and QR are bitwise identical by
+// The engine's contract: every product agrees with the reference loops
+// in reference.go. All sequential GEMM kernels are bitwise identical by
 // construction (same per-element accumulation order), so single-worker
 // runs compare with tol 0; only the parallel Aᵀ·B partial-fold reorders
 // a reduction and gets a round-off tolerance scaled by the accumulation
-// length.
+// length. (QR's contract is error bounds; see qr_engine_test.go.)
 
 func engineRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xbeef))

@@ -147,14 +147,30 @@ func mulK16(ad, bd, od []float64, inner, _, lo, hi int) {
 // mulPanel8 tiles a k%8==0 block into 8-column panels, re-scanning the
 // input row once per panel; for GEBE's inner dimensions (k or the Krylov
 // width) the row stays L1-resident, and each panel keeps its
-// accumulators in registers.
+// accumulators in registers. The output rows are zero on entry, so
+// continuing them (mulAcc) is the same sum as starting from zero.
 func mulPanel8(ad, bd, od []float64, inner, k, lo, hi int) {
+	mulAcc(ad, inner, bd, k, od, k, inner, k, lo, hi)
+}
+
+// mulAcc adds a·b into rows [lo,hi) of out, with explicit row strides:
+// a is ·×inner (rows lda apart), b inner×k (rows ldb apart), out ·×k
+// (rows ldo apart). Each output element continues from its current value
+// in ascending inner order, in 8-column register panels plus a
+// per-column remainder — so the result for a column does not depend on
+// which panel or remainder it lands in. It is the strided core of the
+// panel8 kernels and the rank-nb update of the blocked QR.
+func mulAcc(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, inner, k, lo, hi int) {
+	j8 := k - k%8
 	for i := lo; i < hi; i++ {
-		arow := ad[i*inner:][:inner]
-		for j0 := 0; j0 < k; j0 += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		arow := ad[i*lda:][:inner]
+		orow := od[i*ldo:][:k]
+		for j0 := 0; j0 < j8; j0 += 8 {
+			o := orow[j0:][:8]
+			s0, s1, s2, s3 := o[0], o[1], o[2], o[3]
+			s4, s5, s6, s7 := o[4], o[5], o[6], o[7]
 			for l, av := range arow {
-				b := bd[l*k+j0:][:8]
+				b := bd[l*ldb+j0:][:8]
 				s0 += av * b[0]
 				s1 += av * b[1]
 				s2 += av * b[2]
@@ -164,10 +180,22 @@ func mulPanel8(ad, bd, od []float64, inner, k, lo, hi int) {
 				s6 += av * b[6]
 				s7 += av * b[7]
 			}
-			o := od[i*k+j0:][:8]
 			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 			o[4], o[5], o[6], o[7] = s4, s5, s6, s7
 		}
+		mulAccColsTail(arow, bd, ldb, orow, j8)
+	}
+}
+
+// mulAccColsTail finishes columns [j0,len(orow)) of one mulAcc output
+// row, one column at a time in the same ascending inner order.
+func mulAccColsTail(arow, bd []float64, ldb int, orow []float64, j0 int) {
+	for j := j0; j < len(orow); j++ {
+		s := orow[j]
+		for l, av := range arow {
+			s += av * bd[l*ldb+j]
+		}
+		orow[j] = s
 	}
 }
 
@@ -256,6 +284,14 @@ const tmulChunkRows = 8
 // tmulBlocked is the chunked 2×4 register-tile kernel; see the package
 // comment for the blocking scheme.
 func tmulBlocked(ad, bd, od []float64, k1, k2, lo, hi int) {
+	tmulTile(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
+}
+
+// tmulTile adds rows [lo,hi) of aᵀ·b into the k1×k2 block out, with
+// explicit row strides: a rows lda apart, b rows ldb apart, out rows ldo
+// apart. It is the strided core of tmulBlocked and of the Vᵀ products
+// inside the blocked QR's panel factorization.
+func tmulTile(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {
 	i2 := k1 - k1%2
 	j4 := k2 - k2%4
 	for l0 := lo; l0 < hi; l0 += tmulChunkRows {
@@ -267,13 +303,13 @@ func tmulBlocked(ad, bd, od []float64, k1, k2, lo, hi int) {
 				// per-element FP sequence is then the same ascending
 				// continuous accumulation as tmulGeneric — bitwise
 				// identical — at the same load/store cost.
-				o0 := od[i*k2+j:][:4]
-				o1 := od[(i+1)*k2+j:][:4]
+				o0 := od[i*ldo+j:][:4]
+				o1 := od[(i+1)*ldo+j:][:4]
 				s00, s01, s02, s03 := o0[0], o0[1], o0[2], o0[3]
 				s10, s11, s12, s13 := o1[0], o1[1], o1[2], o1[3]
 				for l := l0; l < le; l++ {
-					a := ad[l*k1+i:][:2]
-					b := bd[l*k2+j:][:4]
+					a := ad[l*lda+i:][:2]
+					b := bd[l*ldb+j:][:4]
 					s00 += a[0] * b[0]
 					s01 += a[0] * b[1]
 					s02 += a[0] * b[2]
@@ -286,25 +322,37 @@ func tmulBlocked(ad, bd, od []float64, k1, k2, lo, hi int) {
 				o0[0], o0[1], o0[2], o0[3] = s00, s01, s02, s03
 				o1[0], o1[1], o1[2], o1[3] = s10, s11, s12, s13
 			}
-			for j := j4; j < k2; j++ {
-				s0, s1 := od[i*k2+j], od[(i+1)*k2+j]
-				for l := l0; l < le; l++ {
-					bv := bd[l*k2+j]
-					s0 += ad[l*k1+i] * bv
-					s1 += ad[l*k1+i+1] * bv
-				}
-				od[i*k2+j] = s0
-				od[(i+1)*k2+j] = s1
-			}
+			tmulScalarColsTail(ad, lda, bd, ldb, od, ldo, k2, l0, le, i, j4)
 		}
-		for i := i2; i < k1; i++ {
-			for j := 0; j < k2; j++ {
-				s := od[i*k2+j]
-				for l := l0; l < le; l++ {
-					s += ad[l*k1+i] * bd[l*k2+j]
-				}
-				od[i*k2+j] = s
+		tmulScalarRowsTail(ad, lda, bd, ldb, od, ldo, k1, k2, l0, le, i2)
+	}
+}
+
+// tmulScalarColsTail finishes the k2%4 trailing columns of the 2-row
+// band at row i over input rows [l0,le).
+func tmulScalarColsTail(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k2, l0, le, i, j4 int) {
+	for j := j4; j < k2; j++ {
+		s0, s1 := od[i*ldo+j], od[(i+1)*ldo+j]
+		for l := l0; l < le; l++ {
+			bv := bd[l*ldb+j]
+			s0 += ad[l*lda+i] * bv
+			s1 += ad[l*lda+i+1] * bv
+		}
+		od[i*ldo+j] = s0
+		od[(i+1)*ldo+j] = s1
+	}
+}
+
+// tmulScalarRowsTail finishes the k1%2 trailing output row over input
+// rows [l0,le).
+func tmulScalarRowsTail(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, l0, le, i2 int) {
+	for i := i2; i < k1; i++ {
+		for j := 0; j < k2; j++ {
+			s := od[i*ldo+j]
+			for l := l0; l < le; l++ {
+				s += ad[l*lda+i] * bd[l*ldb+j]
 			}
+			od[i*ldo+j] = s
 		}
 	}
 }

@@ -25,6 +25,7 @@ func init() {
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelSIMD, mulPanel8SIMD, "panel8"+sn)
 	mulTKernels.Register(cpu.KernelSIMD, mulTDot4SIMD, "dot4"+sn)
 	tmulKernels.Register(cpu.KernelSIMD, tmulBlockedSIMD, "b2x4"+sn)
+	wyKernelSets.Register(cpu.KernelSIMD, wyKernels{tmulTileSIMD, mulAccSIMD}, "wy"+sn)
 	if !simd.HasFMA() {
 		return
 	}
@@ -34,6 +35,7 @@ func init() {
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelFMA, mulPanel8FMA, "panel8"+fn)
 	mulTKernels.Register(cpu.KernelFMA, mulTDot4FMA, "dot4"+fn)
 	tmulKernels.Register(cpu.KernelFMA, tmulBlockedFMA, "b2x4"+fn)
+	wyKernelSets.Register(cpu.KernelFMA, wyKernels{tmulTileFMA, mulAccFMA}, "wy"+fn)
 }
 
 func mulK8SIMD(ad, bd, od []float64, inner, _, lo, hi int) {
@@ -69,45 +71,50 @@ func mulK16FMA(ad, bd, od []float64, inner, _, lo, hi int) {
 }
 
 func mulPanel8SIMD(ad, bd, od []float64, inner, k, lo, hi int) {
-	if inner == 0 {
-		// Nothing to accumulate and bd is empty; output rows are zero
-		// on entry (the mulKernel contract), matching the scalar kernel's
-		// explicit zero stores.
-		return
-	}
-	for i := lo; i < hi; i++ {
-		arow := ad[i*inner:][:inner]
-		j0 := 0
-		for ; j0+16 <= k; j0 += 16 {
-			var acc [16]float64
-			simd.SaxpyRows16(arow, bd[j0:], k, &acc)
-			copy(od[i*k+j0:][:16], acc[:])
-		}
-		for ; j0 < k; j0 += 8 {
-			var acc [8]float64
-			simd.SaxpyRows8(arow, bd[j0:], k, &acc)
-			copy(od[i*k+j0:][:8], acc[:])
-		}
-	}
+	mulAccSIMD(ad, inner, bd, k, od, k, inner, k, lo, hi)
 }
 
 func mulPanel8FMA(ad, bd, od []float64, inner, k, lo, hi int) {
+	mulAccFMA(ad, inner, bd, k, od, k, inner, k, lo, hi)
+}
+
+// mulAccSIMD is the vector mulAcc: 16-wide sub-panels while they fit,
+// then 8-wide, then the scalar per-column remainder. The vector
+// primitives accumulate straight into the output row.
+func mulAccSIMD(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, inner, k, lo, hi int) {
+	if inner == 0 {
+		// Nothing to accumulate, and bd may be empty.
+		return
+	}
+	for i := lo; i < hi; i++ {
+		arow := ad[i*lda:][:inner]
+		orow := od[i*ldo:][:k]
+		j0 := 0
+		for ; j0+16 <= k; j0 += 16 {
+			simd.SaxpyRows16(arow, bd[j0:], ldb, (*[16]float64)(orow[j0:]))
+		}
+		for ; j0+8 <= k; j0 += 8 {
+			simd.SaxpyRows8(arow, bd[j0:], ldb, (*[8]float64)(orow[j0:]))
+		}
+		mulAccColsTail(arow, bd, ldb, orow, j0)
+	}
+}
+
+func mulAccFMA(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, inner, k, lo, hi int) {
 	if inner == 0 {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		arow := ad[i*inner:][:inner]
+		arow := ad[i*lda:][:inner]
+		orow := od[i*ldo:][:k]
 		j0 := 0
 		for ; j0+16 <= k; j0 += 16 {
-			var acc [16]float64
-			simd.SaxpyRows16FMA(arow, bd[j0:], k, &acc)
-			copy(od[i*k+j0:][:16], acc[:])
+			simd.SaxpyRows16FMA(arow, bd[j0:], ldb, (*[16]float64)(orow[j0:]))
 		}
-		for ; j0 < k; j0 += 8 {
-			var acc [8]float64
-			simd.SaxpyRows8FMA(arow, bd[j0:], k, &acc)
-			copy(od[i*k+j0:][:8], acc[:])
+		for ; j0+8 <= k; j0 += 8 {
+			simd.SaxpyRows8FMA(arow, bd[j0:], ldb, (*[8]float64)(orow[j0:]))
 		}
+		mulAccColsTail(arow, bd, ldb, orow, j0)
 	}
 }
 
@@ -154,29 +161,15 @@ const tmulChunkRowsSIMD = 32
 // on every call, breaking the Into variants' allocation-free guarantee.
 
 func tmulBlockedSIMD(ad, bd, od []float64, k1, k2, lo, hi int) {
-	i2 := k1 - k1%2
-	j4 := k2 - k2%4
-	for l0 := lo; l0 < hi; l0 += tmulChunkRowsSIMD {
-		le := min(l0+tmulChunkRowsSIMD, hi)
-		n := le - l0
-		for i := 0; i < i2; i += 2 {
-			for j := 0; j < j4; j += 4 {
-				o0 := od[i*k2+j:][:4]
-				o1 := od[(i+1)*k2+j:][:4]
-				var acc [8]float64
-				copy(acc[:4], o0)
-				copy(acc[4:], o1)
-				simd.Tile2x4(ad[l0*k1+i:], bd[l0*k2+j:], k1, k2, n, &acc)
-				copy(o0, acc[:4])
-				copy(o1, acc[4:])
-			}
-			tmulScalarColsTail(ad, bd, od, k1, k2, l0, le, i, j4)
-		}
-		tmulScalarRowsTail(ad, bd, od, k1, k2, l0, le, i2)
-	}
+	tmulTileSIMD(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
 }
 
 func tmulBlockedFMA(ad, bd, od []float64, k1, k2, lo, hi int) {
+	tmulTileFMA(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
+}
+
+// tmulTileSIMD is the vector tmulTile (explicit row strides).
+func tmulTileSIMD(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {
 	i2 := k1 - k1%2
 	j4 := k2 - k2%4
 	for l0 := lo; l0 < hi; l0 += tmulChunkRowsSIMD {
@@ -184,46 +177,40 @@ func tmulBlockedFMA(ad, bd, od []float64, k1, k2, lo, hi int) {
 		n := le - l0
 		for i := 0; i < i2; i += 2 {
 			for j := 0; j < j4; j += 4 {
-				o0 := od[i*k2+j:][:4]
-				o1 := od[(i+1)*k2+j:][:4]
+				o0 := od[i*ldo+j:][:4]
+				o1 := od[(i+1)*ldo+j:][:4]
 				var acc [8]float64
-				copy(acc[:4], o0)
-				copy(acc[4:], o1)
-				simd.Tile2x4FMA(ad[l0*k1+i:], bd[l0*k2+j:], k1, k2, n, &acc)
-				copy(o0, acc[:4])
-				copy(o1, acc[4:])
+				*(*[4]float64)(acc[:4]) = *(*[4]float64)(o0)
+				*(*[4]float64)(acc[4:]) = *(*[4]float64)(o1)
+				simd.Tile2x4(ad[l0*lda+i:], bd[l0*ldb+j:], lda, ldb, n, &acc)
+				*(*[4]float64)(o0) = *(*[4]float64)(acc[:4])
+				*(*[4]float64)(o1) = *(*[4]float64)(acc[4:])
 			}
-			tmulScalarColsTail(ad, bd, od, k1, k2, l0, le, i, j4)
+			tmulScalarColsTail(ad, lda, bd, ldb, od, ldo, k2, l0, le, i, j4)
 		}
-		tmulScalarRowsTail(ad, bd, od, k1, k2, l0, le, i2)
+		tmulScalarRowsTail(ad, lda, bd, ldb, od, ldo, k1, k2, l0, le, i2)
 	}
 }
 
-// tmulScalarColsTail finishes the k2%4 trailing columns of a 2-row band
-// over rows [l0,le), exactly like the scalar tmulBlocked remainder.
-func tmulScalarColsTail(ad, bd, od []float64, k1, k2, l0, le, i, j4 int) {
-	for j := j4; j < k2; j++ {
-		s0, s1 := od[i*k2+j], od[(i+1)*k2+j]
-		for l := l0; l < le; l++ {
-			bv := bd[l*k2+j]
-			s0 += ad[l*k1+i] * bv
-			s1 += ad[l*k1+i+1] * bv
-		}
-		od[i*k2+j] = s0
-		od[(i+1)*k2+j] = s1
-	}
-}
-
-// tmulScalarRowsTail finishes the k1%2 trailing output row over rows
-// [l0,le), exactly like the scalar tmulBlocked remainder.
-func tmulScalarRowsTail(ad, bd, od []float64, k1, k2, l0, le, i2 int) {
-	for i := i2; i < k1; i++ {
-		for j := 0; j < k2; j++ {
-			s := od[i*k2+j]
-			for l := l0; l < le; l++ {
-				s += ad[l*k1+i] * bd[l*k2+j]
+func tmulTileFMA(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {
+	i2 := k1 - k1%2
+	j4 := k2 - k2%4
+	for l0 := lo; l0 < hi; l0 += tmulChunkRowsSIMD {
+		le := min(l0+tmulChunkRowsSIMD, hi)
+		n := le - l0
+		for i := 0; i < i2; i += 2 {
+			for j := 0; j < j4; j += 4 {
+				o0 := od[i*ldo+j:][:4]
+				o1 := od[(i+1)*ldo+j:][:4]
+				var acc [8]float64
+				*(*[4]float64)(acc[:4]) = *(*[4]float64)(o0)
+				*(*[4]float64)(acc[4:]) = *(*[4]float64)(o1)
+				simd.Tile2x4FMA(ad[l0*lda+i:], bd[l0*ldb+j:], lda, ldb, n, &acc)
+				*(*[4]float64)(o0) = *(*[4]float64)(acc[:4])
+				*(*[4]float64)(o1) = *(*[4]float64)(acc[4:])
 			}
-			od[i*k2+j] = s
+			tmulScalarColsTail(ad, lda, bd, ldb, od, ldo, k2, l0, le, i, j4)
 		}
+		tmulScalarRowsTail(ad, lda, bd, ldb, od, ldo, k1, k2, l0, le, i2)
 	}
 }

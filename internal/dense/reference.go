@@ -3,16 +3,19 @@ package dense
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
-// The reference loops: the dense products and QR as they ran before the
-// engine — the serial generic GEMM loops and the column-order Householder
-// QR. No Tuning reaches them and they book no metrics. They are the
-// oracle of the bitwise equivalence tests (every sequential engine path
-// accumulates each element in the same order, so it must match them
-// exactly) and the machine-normalization denominator of the committed
-// BENCH_DENSE.json baseline (its legacy_seconds column), so they must
-// stay exactly as they are.
+// The reference loops: the dense products, QR and symmetric eigensolver
+// as they ran before the engine — the serial generic GEMM loops, the
+// column-order Householder QR and cyclic Jacobi. No Tuning reaches them
+// and they book no metrics. The GEMM loops are the oracle of the bitwise
+// equivalence tests (every sequential engine product accumulates each
+// element in the same order, so it must match them exactly); QR and
+// Jacobi are the oracles of the blocked QR's and SymEig's error-bound
+// tests. The loops and QR are also the machine-normalization denominator
+// of the committed BENCH_DENSE.json baseline (its legacy_seconds
+// column), so they must stay exactly as they are.
 
 // ReferenceMul returns a·b computed by the serial generic loop.
 func ReferenceMul(a, b *Matrix) *Matrix {
@@ -144,4 +147,103 @@ func qrLegacy(a *Matrix) (q, r *Matrix) {
 		}
 	}
 	return q, r
+}
+
+// ReferenceSymEig computes the full eigendecomposition of a symmetric
+// n-by-n matrix using the cyclic Jacobi method. It returns the
+// eigenvalues in descending order and the matching eigenvectors as the
+// columns of V, so that A·V[:,i] = vals[i]·V[:,i] and VᵀV = I.
+//
+// Jacobi is quadratically convergent once the off-diagonal mass is
+// small, and shares no code with SymEig's tridiagonal QL, which makes it
+// SymEig's test oracle and the eigensolver of the exact dense reference
+// (core.ExactEmbedding). It stops on an absolute off-diagonal threshold
+// (1e-24·n² on the squared mass), so on tightly clustered spectra it is
+// less accurate than SymEig.
+func ReferenceSymEig(a *Matrix) (vals []float64, vecs *Matrix) {
+	n := a.Rows
+	if a.Cols != n {
+		panic(fmt.Sprintf("dense: SymEig requires square matrix, got %dx%d", a.Rows, a.Cols))
+	}
+	w := a.Clone()
+	// Symmetrize defensively: callers sometimes hand us QᵀAQ computed in
+	// floating point, which is symmetric only to round-off.
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			s := (w.Data[i*n+j] + w.Data[j*n+i]) / 2
+			w.Data[i*n+j] = s
+			w.Data[j*n+i] = s
+		}
+	}
+	v := Identity(n)
+	const maxSweeps = 60
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		var off float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += w.Data[i*n+j] * w.Data[i*n+j]
+			}
+		}
+		if off < 1e-24*float64(n*n) {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := w.Data[p*n+q]
+				if math.Abs(apq) < 1e-300 {
+					continue
+				}
+				app := w.Data[p*n+p]
+				aqq := w.Data[q*n+q]
+				// Compute the rotation that annihilates w[p,q].
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+theta*theta))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+				// Apply the rotation: W ← JᵀWJ, V ← VJ.
+				for i := 0; i < n; i++ {
+					wip := w.Data[i*n+p]
+					wiq := w.Data[i*n+q]
+					w.Data[i*n+p] = c*wip - s*wiq
+					w.Data[i*n+q] = s*wip + c*wiq
+				}
+				for j := 0; j < n; j++ {
+					wpj := w.Data[p*n+j]
+					wqj := w.Data[q*n+j]
+					w.Data[p*n+j] = c*wpj - s*wqj
+					w.Data[q*n+j] = s*wpj + c*wqj
+				}
+				for i := 0; i < n; i++ {
+					vip := v.Data[i*n+p]
+					viq := v.Data[i*n+q]
+					v.Data[i*n+p] = c*vip - s*viq
+					v.Data[i*n+q] = s*vip + c*viq
+				}
+			}
+		}
+	}
+	// Collect and sort eigenpairs by descending eigenvalue.
+	type pair struct {
+		val float64
+		idx int
+	}
+	pairs := make([]pair, n)
+	for i := 0; i < n; i++ {
+		pairs[i] = pair{w.Data[i*n+i], i}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
+	vals = make([]float64, n)
+	vecs = New(n, n)
+	for out, p := range pairs {
+		vals[out] = p.val
+		for i := 0; i < n; i++ {
+			vecs.Data[i*n+out] = v.Data[i*n+p.idx]
+		}
+	}
+	return vals, vecs
 }

@@ -89,7 +89,7 @@ func TestScorerTopNMatchesTopNIndices(t *testing.T) {
 
 func TestScorerCheckpointAborts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 0))
-	u := dense.Random(3 * TileUsers, 4, rng)
+	u := dense.Random(3*TileUsers, 4, rng)
 	v := dense.Random(10, 4, rng)
 	sc := NewScorer(u, v)
 	users := make([]int, u.Rows)

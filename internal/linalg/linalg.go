@@ -360,7 +360,7 @@ type RSVDResult struct {
 //
 // The Krylov basis K = [Π, (WWᵀ)Π, …, (WWᵀ)^q Π] with Π = orth(W·G) is
 // orthonormalized blockwise and then globally; the small projected
-// operator Kᵀ(WWᵀ)K is solved exactly by Jacobi.
+// operator Kᵀ(WWᵀ)K is diagonalized exactly by dense.SymEig.
 func RandomizedSVD(w *sparse.CSR, k int, eps float64, seed uint64, threads int) RSVDResult {
 	return RandomizedSVDRun(w, SVDConfig{K: k, Eps: eps, Seed: seed, Threads: threads})
 }
