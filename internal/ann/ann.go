@@ -4,7 +4,7 @@
 // cluster centroids, keeps the top-nprobe clusters, exactly scores only
 // their members, and merges through the same bounded top-N selection
 // the exact scorer uses — so at nprobe = Clusters with float rows the
-// result is bitwise identical to eval.Scorer + eval.TopNIndices, which
+// result is bitwise identical to eval.Scorer + eval.TopNExcluding, which
 // is the package's correctness oracle.
 //
 // The index optionally stores 8-bit symmetrically quantized item rows
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -183,8 +184,11 @@ type Options struct {
 	// [1, Clusters]). Nprobe = Clusters scans everything: with float
 	// rows that reproduces the exact scorer bitwise.
 	Nprobe int
-	// Skip excludes item ids — the serving layer's train-edge mask.
-	Skip map[int]bool
+	// Skip excludes item ids — the serving layer's train-edge mask. It
+	// must be in ascending order (eval.Exclusions lists are): each
+	// cluster walks it with a merge pointer beside its own ascending
+	// member list.
+	Skip []int32
 	// Int8 scores the quantized rows instead of the float rows; requires
 	// an index built with Config.Int8 (panics otherwise, mirroring the
 	// dense package's shape discipline).
@@ -226,11 +230,21 @@ func (ix *Index) Search(q []float64, n int, opt Options) (ids []int, scores []fl
 	t.Reset(n)
 	k := ix.items.Cols
 	for _, c := range probe {
-		for _, id32 := range ix.members[c] {
-			id := int(id32)
-			if opt.Skip != nil && opt.Skip[id] {
+		members := ix.members[c]
+		skip := opt.Skip
+		if len(skip) > 0 && len(members) > 0 {
+			// Start the merge at the cluster's smallest member.
+			j, _ := slices.BinarySearch(skip, members[0])
+			skip = skip[j:]
+		}
+		for _, id32 := range members {
+			for len(skip) > 0 && skip[0] < id32 {
+				skip = skip[1:]
+			}
+			if len(skip) > 0 && skip[0] == id32 {
 				continue
 			}
+			id := int(id32)
 			var s float64
 			if opt.Int8 {
 				s = ix.scales[id] * dotQ8(q, ix.q8[id*k:(id+1)*k])

@@ -3,6 +3,7 @@ package ann
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"gebe/internal/dense"
@@ -29,7 +30,9 @@ func clusteredMatrix(rows, k, c int, rng *rand.Rand) *dense.Matrix {
 // whole package hangs off: at nprobe = Clusters with float rows, Search
 // must reproduce eval.Scorer + eval.TopNIndices exactly — identical ids
 // AND bitwise-identical scores — on randomized embeddings, with and
-// without an exclusion set.
+// without an exclusion list. The masks vary from none through a few
+// ids to the user's 30 best items (so masking decides the answer),
+// with repeats and ids outside the item range mixed in.
 func TestExhaustiveProbeMatchesScorerBitwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 1))
 	users := dense.Random(40, 12, rng)
@@ -40,26 +43,40 @@ func TestExhaustiveProbeMatchesScorerBitwise(t *testing.T) {
 	}
 	sc := eval.NewScorer(users, items)
 	for u := 0; u < users.Rows; u++ {
-		var skip map[int]bool
-		if u%3 == 0 {
-			skip = map[int]bool{u % items.Rows: true, (u * 7) % items.Rows: true}
-		}
-		ids, scores, st := ix.Search(users.Row(u), 10, Options{Nprobe: ix.Clusters(), Skip: skip})
-		if st.Probed != ix.Clusters() || st.Scored < items.Rows-len(skip) {
-			t.Fatalf("user %d: full probe stats %+v", u, st)
-		}
-		var wantIDs []int
-		var wantScores []float64
-		err := sc.Score([]int{u}, nil, func(_ int, row []float64) {
-			wantIDs = eval.TopNIndices(row, 10, skip)
-			wantScores = make([]float64, len(wantIDs))
-			for i, id := range wantIDs {
-				wantScores[i] = row[id]
-			}
-		})
-		if err != nil {
+		var row []float64
+		if err := sc.Score([]int{u}, nil, func(_ int, r []float64) { row = slices.Clone(r) }); err != nil {
 			t.Fatal(err)
 		}
+		var skip []int32
+		switch u % 4 {
+		case 1:
+			skip = []int32{int32(u % items.Rows), int32((u * 7) % items.Rows)}
+		case 2:
+			for _, id := range eval.TopNIndices(row, 30, nil) {
+				skip = append(skip, int32(id))
+			}
+		case 3:
+			for _, id := range eval.TopNIndices(row, 12, nil) {
+				skip = append(skip, int32(id), int32(id))
+			}
+			skip = append(skip, -4, int32(items.Rows), int32(items.Rows+9))
+		}
+		slices.Sort(skip)
+		skipSet := map[int]bool{}
+		for _, id := range skip {
+			skipSet[int(id)] = true
+		}
+		inRange := 0
+		for id := range skipSet {
+			if id >= 0 && id < items.Rows {
+				inRange++
+			}
+		}
+		ids, scores, st := ix.Search(users.Row(u), 10, Options{Nprobe: ix.Clusters(), Skip: skip})
+		if st.Probed != ix.Clusters() || st.Scored != items.Rows-inRange {
+			t.Fatalf("user %d: full probe stats %+v, want %d scored", u, st, items.Rows-inRange)
+		}
+		wantIDs := eval.TopNIndices(row, 10, skipSet)
 		if len(ids) != len(wantIDs) {
 			t.Fatalf("user %d: %d ids vs %d", u, len(ids), len(wantIDs))
 		}
@@ -67,9 +84,53 @@ func TestExhaustiveProbeMatchesScorerBitwise(t *testing.T) {
 			if ids[i] != wantIDs[i] {
 				t.Fatalf("user %d rank %d: id %d want %d", u, i, ids[i], wantIDs[i])
 			}
-			if scores[i] != wantScores[i] { // bitwise: no tolerance
+			if scores[i] != row[wantIDs[i]] { // bitwise: no tolerance
 				t.Fatalf("user %d rank %d: score %v want %v (diff %g)",
-					u, i, scores[i], wantScores[i], scores[i]-wantScores[i])
+					u, i, scores[i], row[wantIDs[i]], scores[i]-row[wantIDs[i]])
+			}
+		}
+	}
+}
+
+// TestPartialProbeHonoursMask: below a full probe the list may differ
+// from the exact one, but an excluded id is never scored or returned,
+// and the list equals an unmasked search of the same clusters with the
+// excluded ids filtered out.
+func TestPartialProbeHonoursMask(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 3))
+	users := dense.Random(20, 10, rng)
+	items := clusteredMatrix(400, 10, 6, rng)
+	ix, err := Build(items, Config{Clusters: 12, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < users.Rows; u++ {
+		q := users.Row(u)
+		all, _, full := ix.Search(q, items.Rows, Options{Nprobe: 3})
+		// Mask every other id of the unmasked list: the top ones included.
+		var skip []int32
+		for i, id := range all {
+			if i%2 == 0 {
+				skip = append(skip, int32(id))
+			}
+		}
+		slices.Sort(skip)
+		ids, scores, st := ix.Search(q, 10, Options{Nprobe: 3, Skip: skip})
+		if st.Scored != full.Scored-len(skip) {
+			t.Fatalf("user %d: scored %d, want %d (masked ids are not scored)", u, st.Scored, full.Scored-len(skip))
+		}
+		var want []int
+		for i, id := range all {
+			if i%2 == 1 && len(want) < 10 {
+				want = append(want, id)
+			}
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("user %d: masked search %v, want %v", u, ids, want)
+		}
+		for i, id := range ids {
+			if scores[i] != dense.Dot(q, items.Row(id)) {
+				t.Fatalf("user %d: score of %d is %v, want the float dot product", u, id, scores[i])
 			}
 		}
 	}

@@ -12,10 +12,8 @@ import (
 // subspace of them), so they are held to the residual ‖AV − VΛ‖ and the
 // orthogonality ‖VᵀV − I‖ instead. The oracle is the cyclic Jacobi
 // solver (ReferenceSymEig), except where the test builds the matrix from
-// a known spectrum: Jacobi stops once the off-diagonal mass is below an
-// absolute 1e-12·n, which on a tight cluster leaves errors of 1e-13 —
-// two orders above the bound — so those cases are checked against the
-// spectrum itself.
+// a known spectrum: those cases are checked against the spectrum itself,
+// and hold the Jacobi oracle to the same bounds.
 
 // The stated bounds, as multiples of n·u (relative to ‖A‖_F where the
 // quantity scales with A). Measured values stay under 2 on every case.
@@ -67,7 +65,7 @@ func eigCases() []eigCase {
 		eigCase{"zero", New(6, 6), make([]float64, 6)},
 		eigCase{"1x1", FromRows([][]float64{{-4}}), []float64{-4}},
 		eigCase{"2x2", FromRows([][]float64{{2, 1}, {1, 2}}), []float64{3, 1}},
-		// Scale invariance: Jacobi's absolute stopping threshold returns
+		// Scale invariance: an absolute stopping threshold would return
 		// this matrix's diagonal unrotated.
 		eigCase{"2x2 at 1e-13", FromRows([][]float64{{2e-13, 1e-13}, {1e-13, 2e-13}}), []float64{3e-13, 1e-13}},
 	)
@@ -113,6 +111,38 @@ func TestSymEigMatchesReference(t *testing.T) {
 		}
 		vtv := ReferenceTMul(vecs, vecs)
 		if d := Sub(vtv, Identity(n)).MaxAbs(); d > eigOrthoBound*nu {
+			t.Errorf("%s: ‖VᵀV−I‖_max = %.3g, bound %.3g", tc.name, d, eigOrthoBound*nu)
+		}
+	}
+}
+
+// TestReferenceSymEigKnownSpectrum holds the Jacobi oracle itself to
+// the SymEig bounds on the cases built from a known spectrum — among
+// them the 1e-10 cluster and a 2×2 scaled to 1e-13, which only a stop
+// relative to ‖A‖_F rotates at all.
+func TestReferenceSymEigKnownSpectrum(t *testing.T) {
+	for _, tc := range eigCases() {
+		if tc.spectrum == nil {
+			continue
+		}
+		a := tc.a
+		n := a.Rows
+		nu := float64(n) * unitRoundoff
+		norm := a.FrobeniusNorm()
+		vals, vecs := ReferenceSymEig(a)
+		for i := range vals {
+			if d := math.Abs(vals[i] - tc.spectrum[i]); d > eigValueBound*nu*norm {
+				t.Errorf("%s: λ_%d = %.17g, want %.17g (|Δ| %.3g > bound %.3g)",
+					tc.name, i, vals[i], tc.spectrum[i], d, eigValueBound*nu*norm)
+			}
+		}
+		av := ReferenceMul(a, vecs)
+		vl := vecs.Clone()
+		vl.ScaleCols(vals)
+		if res := Sub(av, vl).MaxAbs(); res > eigResidualBound*nu*norm {
+			t.Errorf("%s: ‖AV−VΛ‖_max = %.3g, bound %.3g", tc.name, res, eigResidualBound*nu*norm)
+		}
+		if d := Sub(ReferenceTMul(vecs, vecs), Identity(n)).MaxAbs(); d > eigOrthoBound*nu {
 			t.Errorf("%s: ‖VᵀV−I‖_max = %.3g, bound %.3g", tc.name, d, eigOrthoBound*nu)
 		}
 	}

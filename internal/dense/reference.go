@@ -157,9 +157,11 @@ func qrLegacy(a *Matrix) (q, r *Matrix) {
 // Jacobi is quadratically convergent once the off-diagonal mass is
 // small, and shares no code with SymEig's tridiagonal QL, which makes it
 // SymEig's test oracle and the eigensolver of the exact dense reference
-// (core.ExactEmbedding). It stops on an absolute off-diagonal threshold
-// (1e-24·n² on the squared mass), so on tightly clustered spectra it is
-// less accurate than SymEig.
+// (core.ExactEmbedding). It stops once the squared off-diagonal mass is
+// below (n·u·‖A‖_F)²/2, a threshold relative to A's scale: by Weyl's
+// bound that mass moves no eigenvalue by more than n·u·‖A‖_F, so it
+// meets SymEig's error bounds, also on tight clusters and on matrices
+// scaled far from 1.
 func ReferenceSymEig(a *Matrix) (vals []float64, vecs *Matrix) {
 	n := a.Rows
 	if a.Cols != n {
@@ -176,6 +178,11 @@ func ReferenceSymEig(a *Matrix) (vals []float64, vecs *Matrix) {
 		}
 	}
 	v := Identity(n)
+	// Rotations preserve ‖W‖_F, so the input's norm scales the stop of
+	// every sweep. off sums the upper triangle, half the off-diagonal
+	// mass.
+	normSq := w.FrobeniusNorm() * w.FrobeniusNorm()
+	tol := float64(n) * 0x1p-53 // n·u
 	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		var off float64
@@ -184,7 +191,7 @@ func ReferenceSymEig(a *Matrix) (vals []float64, vecs *Matrix) {
 				off += w.Data[i*n+j] * w.Data[i*n+j]
 			}
 		}
-		if off < 1e-24*float64(n*n) {
+		if 2*off <= tol*tol*normSq {
 			break
 		}
 		for p := 0; p < n-1; p++ {

@@ -7,6 +7,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -273,38 +274,70 @@ func (t *TopNHeap) sortDesc() {
 }
 
 // TopNIndices returns the indices of the n largest values in scores, in
-// descending score order, excluding any index in skip. It uses partial
-// selection, O(len·log n).
+// descending score order, excluding any index in skip. It sorts skip's
+// in-range keys into an ascending list — O(|skip|·log|skip|) — and
+// selects through TopNExcluding; callers holding a sorted list (the
+// serving and evaluation paths) call TopNExcluding directly.
 func TopNIndices(scores []float64, n int, skip map[int]bool) []int {
 	if n <= 0 {
 		return nil
 	}
-	var t TopNHeap
-	t.Reset(n)
-	for i, s := range scores {
-		if skip != nil && skip[i] {
-			continue
+	var sorted []int32
+	for i := range skip {
+		if i >= 0 && i < len(scores) {
+			sorted = append(sorted, int32(i))
 		}
-		t.Push(i, s)
 	}
-	return t.IDs()
+	slices.Sort(sorted)
+	return TopNExcluding(scores, n, sorted)
 }
 
-// TopNIndicesExcluding is TopNIndices with a single excluded index
-// (negative excludes nothing) — the /v1/similar hot path, which
-// otherwise allocated a one-entry skip map per request just to drop the
-// query vertex from its own neighbor list.
-func TopNIndicesExcluding(scores []float64, n, exclude int) []int {
+// TopNExcluding returns the indices of the n largest values in scores,
+// in descending score order with ties broken toward smaller indices,
+// excluding every index listed in skip, which must be ascending (ids
+// outside [0, len(scores)) exclude nothing). The result is exactly
+// what pushing every non-excluded (index, score) into a TopNHeap
+// gives.
+//
+// Selection is threshold-first: once the heap is full, each score is
+// compared against the heap minimum held in a local, and only a
+// candidate that would enter the heap advances a merge pointer through
+// skip. The scan runs in ascending index order, so every heap entry
+// has a smaller index than the candidate and a tie with the minimum
+// always loses — the test is one float compare. The cost is one
+// compare per item, plus O(log n) per heap entry and O(|skip|) merge
+// steps at most. It allocates only the heap and the result.
+func TopNExcluding(scores []float64, n int, skip []int32) []int {
 	if n <= 0 {
 		return nil
 	}
+	n = min(n, len(scores)) // the heap never holds more than every item
 	var t TopNHeap
 	t.Reset(n)
-	for i, s := range scores {
-		if i == exclude {
-			continue
+	p := 0 // skip[:p] holds only ids below the current index
+	excluded := func(i int) bool {
+		for p < len(skip) && int(skip[p]) < i {
+			p++
 		}
-		t.Push(i, s)
+		return p < len(skip) && int(skip[p]) == i
+	}
+	i := 0
+	for ; i < len(scores) && len(t.heap) < n; i++ {
+		if !excluded(i) {
+			t.Push(i, scores[i])
+		}
+	}
+	if i < len(scores) { // items remain, so the heap is full
+		minS := t.heap[0].s
+		for j, s := range scores[i:] {
+			// topLess(root, (s, i+j)) reduces to s > root.s: the root's
+			// index is smaller than i+j, and NaN compares false either way.
+			if s > minS && !excluded(i+j) {
+				t.heap[0] = topPair{s, i + j}
+				t.siftDown(0, n)
+				minS = t.heap[0].s
+			}
+		}
 	}
 	return t.IDs()
 }

@@ -121,10 +121,11 @@ func (s *Scorer) score(tr *obs.Trace, users []int, checkpoint func() error, emit
 }
 
 // TopN scores one user and returns the ids and scores of their n
-// best items in descending order, excluding any id in skip.
-func (s *Scorer) TopN(user, n int, skip map[int]bool) (ids []int, scores []float64) {
+// best items in descending order, excluding any id in skip (ascending,
+// as TopNExcluding takes it).
+func (s *Scorer) TopN(user, n int, skip []int32) (ids []int, scores []float64) {
 	_ = s.Score([]int{user}, nil, func(_ int, row []float64) {
-		ids = TopNIndices(row, n, skip)
+		ids = TopNExcluding(row, n, skip)
 		scores = make([]float64, len(ids))
 		for i, id := range ids {
 			scores[i] = row[id]

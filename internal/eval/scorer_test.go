@@ -66,7 +66,7 @@ func TestScorerTopNMatchesTopNIndices(t *testing.T) {
 	v := dense.Random(40, 7, rng)
 	sc := NewScorer(u, v)
 	skip := map[int]bool{3: true, 17: true}
-	ids, scores := sc.TopN(2, 5, skip)
+	ids, scores := sc.TopN(2, 5, []int32{3, 17})
 	want := TopNIndices(naiveScores(u, v, 2), 5, skip)
 	if len(ids) != len(want) {
 		t.Fatalf("got %d ids, want %d", len(ids), len(want))

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,13 +60,7 @@ func TopNRun(train *bigraph.Graph, test []bigraph.Edge, u, v *dense.Matrix, cfg 
 	}
 	n := cfg.N
 	// Per-user training items to exclude and held-out edges.
-	trainItems := make([]map[int]bool, train.NU)
-	for _, e := range train.Edges {
-		if trainItems[e.U] == nil {
-			trainItems[e.U] = make(map[int]bool)
-		}
-		trainItems[e.U][e.V] = true
-	}
+	trainItems, _ := NewExclusions(train.NU, train.Edges, 0, train.NV)
 	heldOut := make([][]bigraph.Edge, train.NU)
 	skipped := 0
 	for _, e := range test {
@@ -113,7 +108,7 @@ func TopNRun(train *bigraph.Graph, test []bigraph.Edge, u, v *dense.Matrix, cfg 
 				}
 				return nil
 			}, func(uu int, scores []float64) {
-				rec := TopNIndices(scores, n, trainItems[uu])
+				rec := TopNExcluding(scores, n, trainItems.Of(uu))
 				truth := groundTruth(heldOut[uu], n)
 				f1 += F1At(rec, truth, n)
 				ndcg += NDCGAt(rec, truth, n)
@@ -138,6 +133,59 @@ func TopNRun(train *bigraph.Graph, test []bigraph.Edge, u, v *dense.Matrix, cfg 
 	res.NDCG /= float64(len(users))
 	res.MRR /= float64(len(users))
 	return res, nil
+}
+
+// Exclusions holds the top-N protocol's training-edge mask: for each
+// user, the ascending list of item ids to leave out of their ranking,
+// all users' lists sharing one flat array (CSR layout). It is immutable
+// once built and safe for concurrent readers.
+type Exclusions struct {
+	start []int // user u's items are items[start[u]:start[u+1]]
+	items []int32
+}
+
+// NewExclusions builds the mask of users [0, users) from training
+// edges. Only items in [lo, hi) are kept, renumbered to item−lo — a
+// shard holding item rows [lo, hi) passes its range, a whole graph
+// passes [0, NV). Duplicate edges collapse to one entry. kept counts
+// the in-range edges, duplicates included. Edge users must lie in
+// [0, users).
+func NewExclusions(users int, edges []bigraph.Edge, lo, hi int) (x *Exclusions, kept int) {
+	start := make([]int, users+1)
+	for _, e := range edges {
+		if e.V >= lo && e.V < hi {
+			start[e.U+1]++
+		}
+	}
+	for u := 0; u < users; u++ {
+		start[u+1] += start[u]
+	}
+	kept = start[users]
+	items := make([]int32, kept)
+	fill := slices.Clone(start[:users])
+	for _, e := range edges {
+		if e.V >= lo && e.V < hi {
+			items[fill[e.U]] = int32(e.V - lo)
+			fill[e.U]++
+		}
+	}
+	// Sort and deduplicate each list, compacting the flat array in place:
+	// list u moves down to start at out, which never passes start[u].
+	out := 0
+	for u := 0; u < users; u++ {
+		list := items[start[u]:start[u+1]]
+		slices.Sort(list)
+		start[u] = out
+		out += copy(items[out:], slices.Compact(list))
+	}
+	start[users] = out
+	return &Exclusions{start: start, items: items[:out:out]}, kept
+}
+
+// Of returns user u's excluded items in ascending order (empty when
+// none). The slice aliases the mask: callers must not modify it.
+func (x *Exclusions) Of(u int) []int32 {
+	return x.items[x.start[u]:x.start[u+1]]
 }
 
 // groundTruth ranks a user's held-out neighbors by edge weight (ties by

@@ -15,7 +15,7 @@ import (
 )
 
 // model is one immutable serving snapshot: the embedding, the per-user
-// training exclusion sets, the precomputed row norms, and the scorer
+// training exclusion lists, the precomputed row norms, and the scorer
 // pools bound to those matrices — everything request handling reads that
 // must stay mutually consistent. The Server holds the current model
 // behind one atomic pointer; a hot swap publishes a fully built
@@ -32,10 +32,12 @@ type model struct {
 	loaded time.Time
 	emb    *core.Embedding
 
-	// trainItems[u] holds u's training items when a training graph was
-	// supplied — the exclusion set the paper's top-N protocol applies,
-	// optional per request via mask_train.
-	trainItems []map[int]bool
+	// trainItems holds each user's training items, in ascending
+	// shard-local ids, when a training graph was supplied (nil
+	// otherwise) — the exclusion lists the paper's top-N protocol
+	// applies, optional per request via mask_train. trainEdges counts the
+	// edges they were built from, duplicates included.
+	trainItems *eval.Exclusions
 	trainEdges int
 
 	// Precomputed row norms for /v1/similar's normalized dot products:
@@ -78,22 +80,11 @@ func newModel(version uint64, emb *core.Embedding, train *bigraph.Graph, annCfg 
 			return nil, fmt.Errorf("serve: training graph is %dx%d but embedding covers %dx%d",
 				train.NU, train.NV, emb.U.Rows, items)
 		}
-		m.trainItems = make([]map[int]bool, emb.U.Rows)
-		lo, hi := emb.ShardOffset, emb.ShardOffset+emb.V.Rows
-		for _, e := range train.Edges {
-			v := e.V
-			if emb.Sharded() {
-				if v < lo || v >= hi {
-					continue
-				}
-				v -= lo
-			}
-			if m.trainItems[e.U] == nil {
-				m.trainItems[e.U] = make(map[int]bool)
-			}
-			m.trainItems[e.U][v] = true
-			m.trainEdges++
+		lo, hi := 0, train.NV
+		if emb.Sharded() {
+			lo, hi = emb.ShardOffset, emb.ShardOffset+emb.V.Rows
 		}
+		m.trainItems, m.trainEdges = eval.NewExclusions(emb.U.Rows, train.Edges, lo, hi)
 	}
 	m.uNorms = rowNorms(emb.U)
 	m.vNorms = rowNorms(emb.V)

@@ -291,9 +291,9 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 					break
 				}
 			}
-			var skip map[int]bool
+			var skip []int32
 			if mask {
-				skip = m.trainItems[u]
+				skip = m.trainItems.Of(u)
 			}
 			ids, scores, st := m.ann.Search(m.emb.U.Row(u), n, ann.Options{
 				Nprobe: nprobe, Skip: skip, Int8: m.ann.Int8(),
@@ -320,11 +320,11 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			// selection; it nests under "score" beside the scorer's
 			// per-tile "score.tile" spans.
 			rankSp := tr.StartSpan("rank").Set("user", u).Set("masked", mask)
-			var skip map[int]bool
+			var skip []int32
 			if mask {
-				skip = m.trainItems[u]
+				skip = m.trainItems.Of(u)
 			}
-			ids := eval.TopNIndices(scores, n, skip)
+			ids := eval.TopNExcluding(scores, n, skip)
 			items := make([]api.ScoredItem, len(ids))
 			for j, id := range ids {
 				items[j] = api.ScoredItem{Item: id, Score: scores[id]}
@@ -448,9 +448,9 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 			}
 			scores[j] = c
 		}
-		// Single-exclusion fast path: no per-request skip map just to
-		// drop the query vertex from its own neighbor list.
-		ids := eval.TopNIndicesExcluding(scores, n, id)
+		// The query vertex is left out of its own neighbor list.
+		self := [1]int32{int32(id)}
+		ids := eval.TopNExcluding(scores, n, self[:])
 		resp.Neighbors = make([]api.ScoredItem, len(ids))
 		for j, nid := range ids {
 			resp.Neighbors[j] = api.ScoredItem{Item: nid, Score: scores[nid]}

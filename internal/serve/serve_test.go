@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestRecommendMatchesEvalScorer(t *testing.T) {
 	// mask_train defaults to true).
 	sc := eval.NewScorer(s.model().emb.U, s.model().emb.V)
 	for i, user := range []int{0, 5, 7} {
-		ids, scores := sc.TopN(user, 6, s.model().trainItems[user])
+		ids, scores := sc.TopN(user, 6, s.model().trainItems.Of(user))
 		got := resp.Results[i]
 		if got.User != user || len(got.Items) != len(ids) {
 			t.Fatalf("user %d: got %+v want ids %v", user, got, ids)
@@ -111,7 +112,7 @@ func TestRecommendMatchesEvalScorer(t *testing.T) {
 			}
 		}
 		for _, it := range got.Items {
-			if s.model().trainItems[user][it.Item] {
+			if slices.Contains(s.model().trainItems.Of(user), int32(it.Item)) {
 				t.Errorf("user %d: training item %d recommended", user, it.Item)
 			}
 		}
@@ -519,11 +520,11 @@ func TestShardedModelTrainSlicing(t *testing.T) {
 	}
 	// testEmbedding's train edges: user 0 → {1,2,3} (all off-shard),
 	// user 5 → {10,11} (on-shard, local rows 0 and 1).
-	if m.trainItems[0] != nil {
-		t.Errorf("user 0 exclusions %v, want none (all items off-shard)", m.trainItems[0])
+	if got := m.trainItems.Of(0); len(got) != 0 {
+		t.Errorf("user 0 exclusions %v, want none (all items off-shard)", got)
 	}
-	if !m.trainItems[5][0] || !m.trainItems[5][1] || len(m.trainItems[5]) != 2 {
-		t.Errorf("user 5 exclusions %v, want local rows {0,1}", m.trainItems[5])
+	if got := m.trainItems.Of(5); !slices.Equal(got, []int32{0, 1}) {
+		t.Errorf("user 5 exclusions %v, want local rows [0 1]", got)
 	}
 	if m.trainEdges != 2 {
 		t.Errorf("trainEdges = %d, want 2 (only on-shard edges kept)", m.trainEdges)
@@ -542,6 +543,62 @@ func TestShardedModelTrainSlicing(t *testing.T) {
 	}
 	if sh["index"] != 1.0 || sh["count"] != 3.0 || sh["offset"] != 10.0 || sh["total"] != 35.0 {
 		t.Errorf("shard block = %v", sh)
+	}
+}
+
+// TestTrainMaskDuplicatesAndTrainEdges: duplicate training edges
+// collapse to one mask entry, while /v1/info's train_edges keeps
+// counting every kept edge, duplicates included — on a whole server
+// and on a shard, where off-shard edges are neither masked nor counted.
+func TestTrainMaskDuplicatesAndTrainEdges(t *testing.T) {
+	emb, _ := testEmbedding(t)
+	g, err := bigraph.New(20, 35, []bigraph.Edge{
+		{U: 5, V: 11, W: 1}, {U: 5, V: 10, W: 1}, {U: 5, V: 11, W: 3},
+		{U: 5, V: 25, W: 1}, {U: 2, V: 3, W: 1}, {U: 2, V: 3, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := *emb
+	sharded.V = dense.New(10, emb.V.Cols)
+	copy(sharded.V.Data, emb.V.Data[10*emb.V.Cols:20*emb.V.Cols])
+	sharded.ShardIndex, sharded.ShardCount = 1, 3
+	sharded.ShardOffset, sharded.ShardTotal = 10, 35
+	for _, tc := range []struct {
+		name       string
+		emb        *core.Embedding
+		user5      []int32
+		user2      []int32
+		trainEdges float64
+	}{
+		{"whole", emb, []int32{10, 11, 25}, []int32{3}, 6},
+		{"shard [10,20)", &sharded, []int32{0, 1}, nil, 3},
+	} {
+		s, err := New(tc.emb, g, Config{Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := s.model()
+		if got := m.trainItems.Of(5); !slices.Equal(got, tc.user5) {
+			t.Errorf("%s: user 5 exclusions %v, want %v", tc.name, got, tc.user5)
+		}
+		if got := m.trainItems.Of(2); !slices.Equal(got, tc.user2) {
+			t.Errorf("%s: user 2 exclusions %v, want %v", tc.name, got, tc.user2)
+		}
+		info := decode[map[string]any](t, get(t, s.Handler(), "/v1/info"))
+		if info["train_edges"] != tc.trainEdges {
+			t.Errorf("%s: train_edges = %v, want %v", tc.name, info["train_edges"], tc.trainEdges)
+		}
+		w := postJSON(t, s.Handler(), "/v1/recommend", `{"user":5,"n":100}`)
+		resp := decode[api.RecommendResponse](t, w)
+		if got, want := len(resp.Results[0].Items), tc.emb.V.Rows-len(tc.user5); got != want {
+			t.Errorf("%s: %d items ranked, want %d (every item but the masked ones)", tc.name, got, want)
+		}
+		for _, it := range resp.Results[0].Items {
+			if slices.Contains(tc.user5, int32(it.Item)) {
+				t.Errorf("%s: training item %d recommended", tc.name, it.Item)
+			}
+		}
 	}
 }
 

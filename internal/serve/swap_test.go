@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,14 +39,14 @@ func altEmbedding(t testing.TB) *core.Embedding {
 // directly through the eval scorer over a given embedding.
 func expectTopN(emb *core.Embedding, g *bigraph.Graph, user, n int) []api.ScoredItem {
 	sc := eval.NewScorer(emb.U, emb.V)
-	var skip map[int]bool
+	var skip []int32
 	if g != nil {
-		skip = make(map[int]bool)
 		for _, e := range g.Edges {
-			if e.U == user {
-				skip[e.V] = true
+			if e.U == user && !slices.Contains(skip, int32(e.V)) {
+				skip = append(skip, int32(e.V))
 			}
 		}
+		slices.Sort(skip)
 	}
 	ids, scores := sc.TopN(user, n, skip)
 	items := make([]api.ScoredItem, len(ids))
