@@ -108,8 +108,9 @@ func (o pprOperator) applyMT(y *dense.Matrix) *dense.Matrix {
 	return o.wr.TMulDense(acc, o.threads)
 }
 
-func (o pprOperator) Apply(x *dense.Matrix) *dense.Matrix {
-	return o.applyM(o.applyMT(x))
+func (o pprOperator) ApplyInto(dst, x *dense.Matrix) *dense.Matrix {
+	copy(dst.Data, o.applyM(o.applyMT(x)).Data)
+	return dst
 }
 
 // Train embeds g with the bipartite NRP specialization.

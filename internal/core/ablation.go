@@ -19,17 +19,22 @@ import (
 //   - MHS-BNE preserves only s(·,·) for homogeneous pairs on both sides,
 //     via normalized rank-k factorizations of H_U and H_V.
 
-// ppOperator applies P·Pᵀ = H·W·Wᵀ·H to a block (for MHP-BNE's KSI).
+// ppOperator applies P·Pᵀ = H·W·Wᵀ·H to a block (for MHP-BNE's KSI),
+// holding H·z and then W·Wᵀ·H·z in one |U|×k scratch block of its own.
 type ppOperator struct {
-	h hOperator
+	h  *hOperator
+	hz *dense.Matrix
 }
 
-func (o ppOperator) Dim() int { return o.h.w.Rows }
+func (o *ppOperator) Dim() int { return o.h.w.Rows }
 
-func (o ppOperator) Apply(z *dense.Matrix) *dense.Matrix {
-	hz := o.h.Apply(z)
-	wwhz := o.h.w.MulDenseOpts(o.h.w.TMulDenseOpts(hz, o.h.spmm), o.h.spmm)
-	return o.h.Apply(wwhz)
+func (o *ppOperator) ApplyInto(dst, z *dense.Matrix) *dense.Matrix {
+	if o.hz == nil || o.hz.Cols != z.Cols {
+		o.hz = dense.New(o.h.w.Rows, z.Cols)
+	}
+	o.h.ApplyInto(o.hz, z)
+	o.h.gram(o.hz, o.hz)
+	return o.h.ApplyInto(dst, o.hz)
 }
 
 // MHPBNE embeds by factorizing only the MHP matrix: it computes the top-k
@@ -46,8 +51,8 @@ func MHPBNE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: MHP-BNE: %w", err)
 	}
-	h := hOperator{w: w, omega: opt.PMF, tau: opt.Tau, spmm: opt.spmm()}
-	res := linalg.KSIRun(ppOperator{h: h}, opt.ksiConfig(run))
+	h := newHOperator(w, opt)
+	res := linalg.KSIRun(&ppOperator{h: h}, opt.ksiConfig(run))
 	if res.DeadlineHit {
 		return nil, fmt.Errorf("core: MHP-BNE: %w", budget.ErrExceeded)
 	}
@@ -69,7 +74,7 @@ func MHPBNE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	u.ScaleCols(sqrtSigma)
 	// V = PᵀΦ·Σ^{-1/2} = Wᵀ·(H·Φ)·Σ^{-1/2}, splitting σ evenly between the
 	// two factors so U·Vᵀ = Φ·Φᵀ·P.
-	v := w.TMulDenseOpts(h.Apply(phi), opt.spmm())
+	v := w.TMulDenseOpts(h.ApplyInto(dense.New(phi.Rows, phi.Cols), phi), opt.spmm())
 	v.ScaleCols(invSqrtSigma)
 	return &Embedding{
 		U: u, V: v,
@@ -102,7 +107,7 @@ func MHSBNE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: MHS-BNE: %w", err)
 	}
-	factorSide := func(h hOperator, seed uint64, init *dense.Matrix) (*dense.Matrix, linalg.KSIResult) {
+	factorSide := func(h *hOperator, seed uint64, init *dense.Matrix) (*dense.Matrix, linalg.KSIResult) {
 		cfg := opt.ksiConfig(run)
 		cfg.Seed = seed
 		cfg.InitQ = init // per-side warm basis: U rows left, V rows right
@@ -123,8 +128,8 @@ func MHSBNE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 		}
 		return x, res
 	}
-	hu := hOperator{w: w, omega: opt.PMF, tau: opt.Tau, spmm: opt.spmm()}
-	hv := hOperator{w: w.T(), omega: opt.PMF, tau: opt.Tau, spmm: opt.spmm()}
+	hu := newHOperator(w, opt)
+	hv := newHOperator(w.T(), opt)
 	var warmU, warmV *dense.Matrix
 	if opt.WarmStart != nil {
 		warmU, warmV = opt.WarmStart.U, opt.WarmStart.V

@@ -16,26 +16,61 @@ import (
 // hOperator applies H = Σ_{ℓ=0}^{τ} ω(ℓ)·(WWᵀ)^ℓ to a dense block without
 // materializing H — Lines 3–6 of Algorithm 1, including the critical
 // re-association W·(WᵀQ) that turns an O(|E|·|U|) product into O(|E|·k).
+// It owns the scratch blocks its products write into, sized on first use
+// and kept across calls, so the sweeps of a solve allocate nothing. One
+// hOperator serves one goroutine.
 type hOperator struct {
 	w     *sparse.CSR
 	omega pmf.PMF
 	tau   int
 	spmm  sparse.Tuning
+	t     *dense.Matrix // |V|×k  Wᵀ·q
+	q     *dense.Matrix // |U|×k  q_ℓ = W·(Wᵀ·q_{ℓ−1})
 }
 
-func (o hOperator) Dim() int { return o.w.Rows }
+// newHOperator builds the H operator of opt over w; every KSI-based
+// solver (GEBE, MHP-BNE, MHS-BNE) gets its operator here.
+func newHOperator(w *sparse.CSR, opt Options) *hOperator {
+	return &hOperator{w: w, omega: opt.PMF, tau: opt.Tau, spmm: opt.spmm()}
+}
 
-func (o hOperator) Apply(z *dense.Matrix) *dense.Matrix {
-	q := z.Clone()
-	q.Scale(o.omega.Weight(0))
+func (o *hOperator) Dim() int { return o.w.Rows }
+
+// ApplyInto writes H·z into dst (|U|×k, must not alias z): dst = ω(0)·z,
+// then dst += ω(ℓ)·q_ℓ for ℓ = 1..τ, element by element.
+func (o *hOperator) ApplyInto(dst, z *dense.Matrix) *dense.Matrix {
+	if dst.Rows != o.w.Rows || dst.Cols != z.Cols || z.Rows != o.w.Rows {
+		panic(fmt.Sprintf("core: H·z with z %dx%d into %dx%d, want %d rows", z.Rows, z.Cols, dst.Rows, dst.Cols, o.w.Rows))
+	}
+	o.scratch(z.Cols)
+	w0 := o.omega.Weight(0)
+	for i, v := range z.Data {
+		dst.Data[i] = v * w0
+	}
 	ql := z
 	for ell := 1; ell <= o.tau; ell++ {
-		ql = o.w.MulDenseOpts(o.w.TMulDenseOpts(ql, o.spmm), o.spmm)
+		ql = o.gram(o.q, ql)
 		if wl := o.omega.Weight(ell); wl != 0 {
-			q.AddScaled(wl, ql)
+			dst.AddScaled(wl, ql)
 		}
 	}
-	return q
+	return dst
+}
+
+// gram writes W·(Wᵀ·x) into dst (|U|×k) through the |V|×k scratch, which
+// must already be sized for x (ApplyInto sizes it), and returns dst. dst
+// may be x: Wᵀ·x is complete before dst is written.
+func (o *hOperator) gram(dst, x *dense.Matrix) *dense.Matrix {
+	o.w.TMulDenseInto(o.t, x, o.spmm)
+	return o.w.MulDenseInto(dst, o.t, o.spmm)
+}
+
+// scratch sizes the workspace for k-column blocks.
+func (o *hOperator) scratch(k int) {
+	if o.q == nil || o.q.Cols != k {
+		o.t = dense.New(o.w.Cols, k)
+		o.q = dense.New(o.w.Rows, k)
+	}
 }
 
 // scaledWeightMatrix builds W and applies the spectral scaling W/σ₁
@@ -90,7 +125,7 @@ func GEBE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 		run.Logger().Warn("gebe: deadline exceeded", "method", method, "phase", "sigma1")
 		return nil, fmt.Errorf("core: GEBE: %w", err)
 	}
-	op := hOperator{w: w, omega: opt.PMF, tau: opt.Tau, spmm: opt.spmm()}
+	op := newHOperator(w, opt)
 	ksi := run.Span("ksi")
 	res := linalg.KSIRun(op, opt.ksiConfig(run))
 	ksi.Set("sweeps", res.Sweeps).Set("converged", res.Converged).Set("stop_reason", string(res.StopReason))

@@ -1,0 +1,154 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"gebe/internal/cpu"
+	"gebe/internal/dense"
+	"gebe/internal/linalg"
+	"gebe/internal/pmf"
+	"gebe/internal/sparse"
+)
+
+// tablePMF is a PMF given by its weights, zero past the table: it puts
+// zero-weight terms anywhere in the series, ω(0) included.
+type tablePMF []float64
+
+func (p tablePMF) Weight(ell int) float64 {
+	if ell < 0 || ell >= len(p) {
+		return 0
+	}
+	return p[ell]
+}
+
+func (tablePMF) Name() string { return "table" }
+
+// refApplyH is H·z as hOperator computed it before its workspace: a
+// fresh ω(0)-scaled clone, then AddScaled of each nonzero-weight term,
+// with every product on the uninstrumented reference loops.
+func refApplyH(w *sparse.CSR, omega pmf.PMF, tau int, z *dense.Matrix) *dense.Matrix {
+	q := z.Clone()
+	q.Scale(omega.Weight(0))
+	ql := z
+	for ell := 1; ell <= tau; ell++ {
+		ql = w.ReferenceMulDense(w.ReferenceTMulDense(ql, 1), 1)
+		if wl := omega.Weight(ell); wl != 0 {
+			q.AddScaled(wl, ql)
+		}
+	}
+	return q
+}
+
+func sameBitsMatrix(a, b *dense.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHOperatorApplyIntoMatchesReference: the workspace operator
+// reproduces the allocating formula bit for bit for every PMF, for τ of
+// 0 and 1 as well as a deep series, with zero-weight terms (ω(0)
+// included), on one and two threads, into a NaN-prefilled destination
+// and again into the now-dirty one. MHP-BNE's P·Pᵀ operator is checked
+// the same way.
+func TestHOperatorApplyIntoMatchesReference(t *testing.T) {
+	g := randomBipartite(t, 70, 45, 500, true, 31)
+	w := WeightMatrix(g).Scaled(0.2)
+	pmfs := []pmf.PMF{
+		pmf.NewPoisson(1), pmf.NewGeometric(0.3), pmf.NewUniform(2),
+		tablePMF{0, 0.7, 0, 0.2},
+	}
+	for _, om := range pmfs {
+		for _, tau := range []int{0, 1, 4} {
+			for _, threads := range []int{1, 2} {
+				for _, k := range []int{3, 32} {
+					opt := Options{PMF: om, Tau: tau, Threads: threads,
+						SpMM: sparse.Tuning{MinParallelNNZ: 1, Kernels: cpu.KernelSIMD}}
+					name := fmt.Sprintf("%s/tau=%d/t=%d/k=%d", om.Name(), tau, threads, k)
+					z := dense.Random(w.Rows, k, linalg.NewRand(uint64(k+tau)))
+					want := refApplyH(w, om, tau, z)
+					h := newHOperator(w, opt)
+					dst := dense.New(w.Rows, k)
+					for i := range dst.Data {
+						dst.Data[i] = math.NaN()
+					}
+					for pass := 0; pass < 2; pass++ {
+						if got := h.ApplyInto(dst, z); !sameBitsMatrix(got, want) {
+							t.Fatalf("%s pass %d: ApplyInto differs from the reference formula", name, pass)
+						}
+					}
+					wantPP := refApplyH(w, om, tau, w.ReferenceMulDense(w.ReferenceTMulDense(want, 1), 1))
+					pp := &ppOperator{h: newHOperator(w, opt)}
+					if got := pp.ApplyInto(dense.New(w.Rows, k), z); !sameBitsMatrix(got, wantPP) {
+						t.Fatalf("%s: ppOperator differs from the reference formula", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGEBESweepSteadyStateAllocs pins the allocation-free solve on the
+// real operator: a warm hOperator product allocates nothing, and a KSI
+// run of 15 sweeps allocates exactly as much as one of 5, so every
+// steady-state sweep — 2τ SpMMs, the QR and the subspace-change
+// products — allocates 0.
+func TestGEBESweepSteadyStateAllocs(t *testing.T) {
+	g := randomBipartite(t, 120, 80, 900, false, 32)
+	opt := Options{PMF: pmf.NewPoisson(1), Tau: 4, Threads: 1}
+	w := WeightMatrix(g).Scaled(0.1)
+	h := newHOperator(w, opt)
+	z := dense.Random(w.Rows, 8, linalg.NewRand(3))
+	dst := dense.New(w.Rows, 8)
+	h.ApplyInto(dst, z)
+	if n := testing.AllocsPerRun(10, func() { h.ApplyInto(dst, z) }); n != 0 {
+		t.Errorf("warm hOperator.ApplyInto allocated %v times per call, want 0", n)
+	}
+	allocs := func(sweeps int) float64 {
+		cfg := linalg.KSIConfig{K: 8, Sweeps: sweeps, Tol: 1e-300, Seed: 5, NoAdaptive: true}
+		return testing.AllocsPerRun(3, func() {
+			if res := linalg.KSIRun(newHOperator(w, opt), cfg); res.Sweeps != sweeps {
+				t.Fatalf("KSI stopped after %d sweeps, want %d", res.Sweeps, sweeps)
+			}
+		})
+	}
+	if short, long := allocs(5), allocs(15); long != short {
+		t.Errorf("KSI allocated %v times over 15 sweeps but %v over 5: steady-state sweeps allocate", long, short)
+	}
+}
+
+// TestGEBEThreadsBitwise: with every parallel gate dropped, GEBE on two
+// threads returns the one-thread embedding bit for bit — no sparse or
+// dense schedule splits a sum.
+func TestGEBEThreadsBitwise(t *testing.T) {
+	g := randomBipartite(t, 90, 60, 700, true, 33)
+	run := func(threads int) *Embedding {
+		emb, err := GEBE(g, Options{K: 6, Tau: 5, Iters: 40, Seed: 9, Threads: threads,
+			SpMM:  sparse.Tuning{MinParallelNNZ: 1},
+			Dense: dense.Tuning{MinParallelFlops: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return emb
+	}
+	one, two := run(1), run(2)
+	if !sameBitsMatrix(one.U, two.U) || !sameBitsMatrix(one.V, two.V) {
+		t.Fatal("GEBE embedding differs between Threads=1 and Threads=2")
+	}
+	for i := range one.Values {
+		if math.Float64bits(one.Values[i]) != math.Float64bits(two.Values[i]) {
+			t.Fatalf("eigenvalue %d differs between Threads=1 and Threads=2: %v vs %v", i, one.Values[i], two.Values[i])
+		}
+	}
+	if one.Sweeps != two.Sweeps {
+		t.Fatalf("sweeps differ: %d vs %d", one.Sweeps, two.Sweeps)
+	}
+}

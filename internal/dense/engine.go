@@ -122,8 +122,7 @@ func checkTMul(a, b *Matrix) {
 // TMulInto computes aᵀ·b into dst and returns dst. dst must be
 // a.Cols×b.Cols and must not alias a or b; its previous contents are
 // discarded. Allocation-free whenever the flop gate keeps the product
-// sequential (always true for the solvers' k×k Gram blocks); the
-// parallel path allocates per-worker partial accumulators.
+// sequential (always true for the solvers' k×k Gram blocks).
 func TMulInto(dst, a, b *Matrix, t Tuning) *Matrix {
 	checkTMul(a, b)
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
@@ -140,31 +139,23 @@ func tmulExec(out, a, b *Matrix, t Tuning) {
 	k1, k2 := a.Cols, b.Cols
 	flops := float64(a.Rows) * float64(k1) * float64(k2)
 	kern, kname := dispatchTMul(k1, k2, t.Kernels)
-	nw := t.workers(flops, a.Rows)
+	// Workers own bands of whole 2-row output tiles and each reduces over
+	// every input row, so every element is the serial kernel's sum.
+	pairs := k1 / 2
+	nw := t.workers(flops, pairs)
 	if nw <= 1 {
-		kern(a.Data, b.Data, out.Data, k1, k2, 0, a.Rows)
+		kern(a.Data, k1, b.Data, k2, out.Data, k2, k1, k2, 0, a.Rows)
 		gm.record(dopTMul, t0, flops, "serial", kname)
 		return
 	}
-	// Every worker reduces its row range into the full k1×k2 output, so
-	// workers past the first accumulate into private partials that are
-	// folded in afterwards.
-	rows := a.Rows
-	partials := make([]*Matrix, nw)
-	partials[0] = out
-	for w := 1; w < nw; w++ {
-		partials[w] = New(k1, k2)
-	}
 	par.Parts(nw, func(w int) {
-		kern(a.Data, b.Data, partials[w].Data, k1, k2, rows*w/nw, rows*(w+1)/nw)
-	})
-	for w := 1; w < nw; w++ {
-		od := out.Data
-		for i, v := range partials[w].Data {
-			od[i] += v
+		i0, i1 := 2*(pairs*w/nw), 2*(pairs*(w+1)/nw)
+		if w == nw-1 {
+			i1 = k1 // the odd trailing row rides with the last band
 		}
-	}
-	gm.record(dopTMul, t0, flops, "partials", kname)
+		kern(a.Data[i0:], k1, b.Data, k2, out.Data[i0*k2:], k2, i1-i0, k2, 0, a.Rows)
+	})
+	gm.record(dopTMul, t0, flops, "rowpar", kname)
 }
 
 // SubInto computes a−b elementwise into dst and returns dst. All three

@@ -1,7 +1,6 @@
 package dense
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -20,20 +19,22 @@ func newTestRegistry(t *testing.T) *obs.Registry {
 }
 
 // The engine's contract: every product agrees with the reference loops
-// in reference.go. All sequential GEMM kernels are bitwise identical by
-// construction (same per-element accumulation order), so single-worker
-// runs compare with tol 0; only the parallel Aᵀ·B partial-fold reorders
-// a reduction and gets a round-off tolerance scaled by the accumulation
-// length. (QR's contract is error bounds; see qr_engine_test.go.)
+// in reference.go. The Go and non-fused SIMD GEMM kernels are bitwise
+// identical by construction (same per-element accumulation order), and
+// no parallel schedule splits a reduction, so every run compares with
+// tol 0. The tests pin the SIMD flavor, since the bitwise contract does
+// not hold for the fused one GEBE_SIMD=fma would otherwise select.
+// (QR's contract is error bounds; see qr_engine_test.go.)
 
 func engineRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xbeef))
 }
 
 // forceParallel drops the flop gate so even tiny matrices exercise the
-// partitioned paths.
+// partitioned paths, on the non-fused SIMD kernels (the Go ones where
+// the CPU has none).
 func forceParallel(threads int) Tuning {
-	return Tuning{Threads: threads, MinParallelFlops: 1}
+	return Tuning{Threads: threads, MinParallelFlops: 1, Kernels: cpu.KernelSIMD}
 }
 
 func maxAbsDiff(a, b *Matrix) float64 {
@@ -91,15 +92,34 @@ func TestTMulMatchesLegacy(t *testing.T) {
 				want := ReferenceTMul(a, b)
 				for _, threads := range []int{1, 2, 5} {
 					got := TMulOpts(a, b, forceParallel(threads))
-					// A single worker is bitwise; the parallel fold
-					// reorders an n-term sum and gets round-off slack.
-					tol := 0.0
-					if threads > 1 {
-						tol = 1e-13 * float64(rows) * math.Sqrt(float64(rows))
+					if d := maxAbsDiff(want, got); d != 0 {
+						t.Fatalf("TMul (%dx%d)ᵀ·%dx%d threads=%d: max diff %g, want bitwise match",
+							rows, k1, rows, k2, threads, d)
 					}
-					if d := maxAbsDiff(want, got); d > tol {
-						t.Fatalf("TMul (%dx%d)ᵀ·%dx%d threads=%d: max diff %g > %g",
-							rows, k1, rows, k2, threads, d, tol)
+				}
+			}
+		}
+	}
+}
+
+// TestTMulBitwiseAcrossThreads: the parallel Aᵀ·B hands each worker a
+// band of whole 2-row output tiles, so every flavor — the fused one
+// included — returns the serial result bit for bit at any thread count,
+// on odd and even k₁ and on tall inputs past the vector kernels' chunk
+// length.
+func TestTMulBitwiseAcrossThreads(t *testing.T) {
+	rng := engineRand(5)
+	for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA} {
+		for _, k1 := range []int{2, 5, 8, 33} {
+			for _, k2 := range []int{3, 4, 16} {
+				a := Random(301, k1, rng)
+				b := Random(301, k2, rng)
+				serial := TMulOpts(a, b, Tuning{Threads: 1, Kernels: fl})
+				for _, threads := range []int{2, 3} {
+					tn := Tuning{Threads: threads, MinParallelFlops: 1, Kernels: fl}
+					if got := TMulOpts(a, b, tn); !sameBits(got, serial) {
+						t.Fatalf("%v TMul (301x%d)ᵀ·301x%d threads=%d differs from threads=1",
+							fl, k1, k2, threads)
 					}
 				}
 			}

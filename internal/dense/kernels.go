@@ -24,10 +24,10 @@ import "gebe/internal/cpu"
 // each chunk, cutting the read-modify-write traffic on the k₁×k₂
 // accumulator by the chunk length. The tile is seeded from the output
 // and stored back, so each element is still one continuous ascending
-// sum — bitwise identical to the legacy scatter loop. (The parallel
-// TMul path folds per-worker partials and is the one place in the
-// engine that reorders a reduction; it only engages past the flop gate
-// with >1 worker.)
+// sum — bitwise identical to the legacy scatter loop. The parallel TMul
+// path splits the k₁ output rows, in whole 2-row tiles, across workers
+// that each reduce over every input row, so no schedule reorders a sum
+// and the result is bitwise the serial one at any thread count.
 
 // mulKernel computes rows [lo,hi) of a·b into out (a row stride inner,
 // b/out row stride k). Output rows must be zero on entry.
@@ -41,7 +41,7 @@ type mulKernel func(ad, bd, od []float64, inner, k, lo, hi int)
 var (
 	mulKernels  = cpu.NewTable[mulKernel](mulGeneric, "generic")
 	mulTKernels = cpu.NewVariants[mulTKernel](mulTDot4, "dot4")
-	tmulKernels = cpu.NewVariants[tmulKernel](tmulBlocked, "b2x4")
+	tmulKernels = cpu.NewVariants[tmulKernel](tmulTile, "b2x4")
 )
 
 func init() {
@@ -253,21 +253,24 @@ func dispatchMulT(p int, mode cpu.KernelMode) (mulTKernel, string) {
 	return mulTGeneric, "generic"
 }
 
-// tmulKernel accumulates rows [lo,hi) of aᵀ·b into out (k1×k2): a row
-// stride k1, b row stride k2. Racy unless each worker owns a private out.
-type tmulKernel func(ad, bd, od []float64, k1, k2, lo, hi int)
+// tmulKernel adds input rows [lo,hi) of aᵀ·b into the k1×k2 block out,
+// with explicit row strides: a rows lda apart, b rows ldb apart, out
+// rows ldo apart. A k1-column window of a wider a (and the matching
+// rows of out) is a product of its own, which is how the parallel path
+// hands each worker a band of output rows.
+type tmulKernel func(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int)
 
 // tmulGeneric is the pre-engine loop: per input row, scatter the outer
 // product of the a-row and b-row into the k1×k2 accumulator.
-func tmulGeneric(ad, bd, od []float64, k1, k2, lo, hi int) {
+func tmulGeneric(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {
 	for l := lo; l < hi; l++ {
-		arow := ad[l*k1:][:k1]
-		brow := bd[l*k2:][:k2]
+		arow := ad[l*lda:][:k1]
+		brow := bd[l*ldb:][:k2]
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			orow := od[i*k2:][:k2]
+			orow := od[i*ldo:][:k2]
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}
@@ -281,16 +284,9 @@ func tmulGeneric(ad, bd, od []float64, k1, k2, lo, hi int) {
 // the chunk length while the chunk's A/B rows stay L1-resident.
 const tmulChunkRows = 8
 
-// tmulBlocked is the chunked 2×4 register-tile kernel; see the package
-// comment for the blocking scheme.
-func tmulBlocked(ad, bd, od []float64, k1, k2, lo, hi int) {
-	tmulTile(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
-}
-
-// tmulTile adds rows [lo,hi) of aᵀ·b into the k1×k2 block out, with
-// explicit row strides: a rows lda apart, b rows ldb apart, out rows ldo
-// apart. It is the strided core of tmulBlocked and of the Vᵀ products
-// inside the blocked QR's panel factorization.
+// tmulTile is the chunked 2×4 register-tile tmulKernel (see the package
+// comment for the blocking scheme); it is also the Vᵀ product inside the
+// blocked QR's panel factorization.
 func tmulTile(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {
 	i2 := k1 - k1%2
 	j4 := k2 - k2%4

@@ -24,7 +24,7 @@ func init() {
 	mulKernels.Register(cpu.WidthK16, cpu.KernelSIMD, mulK16SIMD, "k16"+sn)
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelSIMD, mulPanel8SIMD, "panel8"+sn)
 	mulTKernels.Register(cpu.KernelSIMD, mulTDot4SIMD, "dot4"+sn)
-	tmulKernels.Register(cpu.KernelSIMD, tmulBlockedSIMD, "b2x4"+sn)
+	tmulKernels.Register(cpu.KernelSIMD, tmulTileSIMD, "b2x4"+sn)
 	wyKernelSets.Register(cpu.KernelSIMD, wyKernels{tmulTileSIMD, mulAccSIMD}, "wy"+sn)
 	if !simd.HasFMA() {
 		return
@@ -34,7 +34,7 @@ func init() {
 	mulKernels.Register(cpu.WidthK16, cpu.KernelFMA, mulK16FMA, "k16"+fn)
 	mulKernels.Register(cpu.WidthPanel8, cpu.KernelFMA, mulPanel8FMA, "panel8"+fn)
 	mulTKernels.Register(cpu.KernelFMA, mulTDot4FMA, "dot4"+fn)
-	tmulKernels.Register(cpu.KernelFMA, tmulBlockedFMA, "b2x4"+fn)
+	tmulKernels.Register(cpu.KernelFMA, tmulTileFMA, "b2x4"+fn)
 	wyKernelSets.Register(cpu.KernelFMA, wyKernels{tmulTileFMA, mulAccFMA}, "wy"+fn)
 }
 
@@ -159,14 +159,6 @@ const tmulChunkRowsSIMD = 32
 // a function value: an indirect call would hide simd.Tile2x4's
 // go:noescape from the compiler and heap-allocate the tile accumulator
 // on every call, breaking the Into variants' allocation-free guarantee.
-
-func tmulBlockedSIMD(ad, bd, od []float64, k1, k2, lo, hi int) {
-	tmulTileSIMD(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
-}
-
-func tmulBlockedFMA(ad, bd, od []float64, k1, k2, lo, hi int) {
-	tmulTileFMA(ad, k1, bd, k2, od, k2, k1, k2, lo, hi)
-}
 
 // tmulTileSIMD is the vector tmulTile (explicit row strides).
 func tmulTileSIMD(ad []float64, lda int, bd []float64, ldb int, od []float64, ldo, k1, k2, lo, hi int) {

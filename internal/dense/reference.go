@@ -37,7 +37,7 @@ func ReferenceMulT(a, b *Matrix) *Matrix {
 func ReferenceTMul(a, b *Matrix) *Matrix {
 	checkTMul(a, b)
 	out := New(a.Cols, b.Cols)
-	tmulGeneric(a.Data, b.Data, out.Data, a.Cols, b.Cols, 0, a.Rows)
+	tmulGeneric(a.Data, a.Cols, b.Data, b.Cols, out.Data, b.Cols, a.Cols, b.Cols, 0, a.Rows)
 	return out
 }
 

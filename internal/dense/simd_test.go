@@ -92,17 +92,10 @@ func TestDenseSIMDEquivalenceSweep(t *testing.T) {
 				}
 				check("mult/"+name, MulTOpts(a, bt, sT), MulTOpts(a, bt, goT), fm, refMulT)
 
-				// Aᵀ·B reduces per-worker partials in a fixed fold order,
-				// so identical tunings compare bitwise across flavors too;
-				// only the single-worker run matches the reference loop.
 				if hasFMA {
 					fm = TMulOpts(a, c, fT)
 				}
-				ref := refTMul
-				if threads > 1 {
-					ref = nil
-				}
-				check("tmul/"+name, TMulOpts(a, c, sT), TMulOpts(a, c, goT), fm, ref)
+				check("tmul/"+name, TMulOpts(a, c, sT), TMulOpts(a, c, goT), fm, refTMul)
 			}
 		}
 	}

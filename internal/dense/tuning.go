@@ -86,7 +86,7 @@ type gemmMetrics struct {
 	calls   [numDops]*obs.Counter
 	fma     *obs.Counter
 	// strategy and kernel count how each operation was scheduled (serial,
-	// rowpar, partials, colpar) and which inner kernel it dispatched to,
+	// rowpar, colpar) and which inner kernel it dispatched to,
 	// one counter per label.
 	strategy, kernel *obs.CounterVec
 }

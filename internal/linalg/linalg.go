@@ -22,8 +22,12 @@ import (
 type Operator interface {
 	// Dim returns the (square) dimension of the operator.
 	Dim() int
-	// Apply returns the product of the operator with a Dim()-by-k block.
-	Apply(x *dense.Matrix) *dense.Matrix
+	// ApplyInto writes the operator applied to the Dim()×k block x into
+	// dst (Dim()×k, must not alias x) and returns dst. KSI applies the
+	// operator once per sweep to a block of fixed shape into one
+	// caller-owned buffer, so an operator that keeps its own scratch
+	// across calls lets the sweep loop run without allocating.
+	ApplyInto(dst, x *dense.Matrix) *dense.Matrix
 }
 
 // NewRand returns a deterministic PCG-backed generator for the seed.

@@ -12,8 +12,10 @@ import (
 // denseOp wraps an explicit symmetric matrix as an Operator.
 type denseOp struct{ m *dense.Matrix }
 
-func (o denseOp) Dim() int                            { return o.m.Rows }
-func (o denseOp) Apply(x *dense.Matrix) *dense.Matrix { return dense.Mul(o.m, x) }
+func (o denseOp) Dim() int { return o.m.Rows }
+func (o denseOp) ApplyInto(dst, x *dense.Matrix) *dense.Matrix {
+	return dense.MulInto(dst, o.m, x, dense.Tuning{})
+}
 
 func symRandom(n int, seed uint64) *dense.Matrix {
 	b := dense.Random(n, n, NewRand(seed))

@@ -6,28 +6,16 @@ import (
 	"gebe/internal/dense"
 )
 
-// InPlaceOperator is an Operator that can write its product into a
-// caller-owned block. KSI applies the operator once per sweep to a block
-// of fixed shape, so an operator that implements this lets the
-// steady-state sweep loop run without allocating (see ksiSweep).
-type InPlaceOperator interface {
-	Operator
-	// ApplyInto writes the operator applied to x into dst (Dim()×x.Cols,
-	// must not alias x) and returns dst.
-	ApplyInto(dst, x *dense.Matrix) *dense.Matrix
-}
-
 // ksiSweep is KSIRun's per-run workspace: every buffer the steady-state
 // sweep loop touches, allocated once up front. After the first sweep a
-// sweep allocates nothing when the operator supports ApplyInto and the
+// sweep allocates nothing when the operator's ApplyInto does not and the
 // flop gate keeps the dense products sequential (pinned by
 // TestKSISweepSteadyStateAllocs).
 type ksiSweep struct {
 	op   Operator
-	into InPlaceOperator // non-nil when op supports ApplyInto
 	dn   dense.Tuning
 	z    *dense.Matrix // current orthonormal basis (owned)
-	hz   *dense.Matrix // ApplyInto destination (nil when into == nil)
+	hz   *dense.Matrix // ApplyInto destination
 	qrws dense.QRWork
 	p    *dense.Matrix // k×k   zᵀ·zNew
 	proj *dense.Matrix // n×k   z·p
@@ -37,22 +25,14 @@ type ksiSweep struct {
 // newKSISweep takes ownership of the starting basis z.
 func newKSISweep(op Operator, z *dense.Matrix, dn dense.Tuning) *ksiSweep {
 	n, k := z.Rows, z.Cols
-	s := &ksiSweep{op: op, dn: dn, z: z,
+	return &ksiSweep{op: op, dn: dn, z: z, hz: dense.New(n, k),
 		p: dense.New(k, k), proj: dense.New(n, k), diff: dense.New(n, k)}
-	if ip, ok := op.(InPlaceOperator); ok {
-		s.into = ip
-		s.hz = dense.New(n, k)
-	}
-	return s
 }
 
-// apply returns op·z, reusing the hz buffer when the operator allows it.
-// The result is only valid until the next apply call.
+// apply returns op·z in the hz buffer. The result is only valid until
+// the next apply call.
 func (s *ksiSweep) apply() *dense.Matrix {
-	if s.into != nil {
-		return s.into.ApplyInto(s.hz, s.z)
-	}
-	return s.op.Apply(s.z)
+	return s.op.ApplyInto(s.hz, s.z)
 }
 
 // finish completes one KSI sweep from the operator product hz (as

@@ -8,20 +8,15 @@ import "math"
 // FMADDD on arm64). They are the bodies of the purego build and the
 // oracles the assembly is tested against.
 
-func refGatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64) {
-	for p, v := range val {
-		row := b[idx[p]*stride:]
-		for j := 0; j < 8; j++ {
-			acc[j] += v * row[j]
-		}
-	}
-}
-
-func refGatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64) {
-	for p, v := range val {
-		row := b[idx[p]*stride:]
-		for j := 0; j < 16; j++ {
-			acc[j] += v * row[j]
+func refGatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		orow := out[i*k:][:k]
+		clear(orow)
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			v := val[p]
+			for j, bv := range b[idx[p]*k:][:k] {
+				orow[j] += v * bv
+			}
 		}
 	}
 }
@@ -68,20 +63,15 @@ func refTile2x4(a, b []float64, k1, k2, n int, acc *[8]float64) {
 // Fused references: the same loops with each multiply-add contracted via
 // math.FMA. On arm64 these match the base references bit for bit.
 
-func refGatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]float64) {
-	for p, v := range val {
-		row := b[idx[p]*stride:]
-		for j := 0; j < 8; j++ {
-			acc[j] = math.FMA(v, row[j], acc[j])
-		}
-	}
-}
-
-func refGatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64) {
-	for p, v := range val {
-		row := b[idx[p]*stride:]
-		for j := 0; j < 16; j++ {
-			acc[j] = math.FMA(v, row[j], acc[j])
+func refGatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		orow := out[i*k:][:k]
+		clear(orow)
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			v := val[p]
+			for j, bv := range b[idx[p]*k:][:k] {
+				orow[j] = math.FMA(v, bv, orow[j])
+			}
 		}
 	}
 }

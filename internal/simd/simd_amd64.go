@@ -16,16 +16,14 @@ func SIMDName() string { return "avx2" }
 // FMAName is the suffix of the fused flavor ("k16+fma").
 func FMAName() string { return "fma" }
 
-// GatherSaxpy8 computes acc[j] += val[p]·b[idx[p]·stride+j] for j<8,
-// p ascending — one 8-wide sparse row accumulation.
+// GatherRows computes out[i·k+j] = Σ_p val[p]·b[idx[p]·k+j] for every
+// row i in [lo,hi) and j<k, p ascending over [rowPtr[i], rowPtr[i+1]) —
+// the whole row range of a CSR·dense product in one call. Every row in
+// the range is written (an empty row as zeros); k must be a positive
+// multiple of 8.
 //
 //go:noescape
-func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-
-// GatherSaxpy16 is the 16-wide form of GatherSaxpy8.
-//
-//go:noescape
-func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
+func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
 
 // SaxpyRows8 computes acc[j] += a[l]·b[l·stride+j] for j<8, l ascending
 // — one 8-wide dense row accumulation.
@@ -55,10 +53,7 @@ func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64)
 // into a single rounding (VFMADD231PD).
 //
 //go:noescape
-func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-
-//go:noescape
-func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
+func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
 
 //go:noescape
 func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)

@@ -2,147 +2,287 @@
 
 #include "textflag.h"
 
-// AVX2 primitives. Layout shared by all of them:
+// AVX2 primitives. The per-row primitives share one register plan
+// (GatherRows has its own, below):
 //
 //   SI  value/row stream (val or a)     CX  trip count
-//   DI  index stream (gather)           AX  loop counter
-//   R8  matrix base (b)                 R9  stride in bytes
-//   R10 accumulator pointer             DX  per-trip row byte offset
+//   R8  matrix base (b)                 AX  loop counter
+//   R9  stride in bytes                 R10 accumulator pointer
 //
 // The non-fused bodies pair VMULPD with VADDPD so every lane rounds
 // exactly like the scalar MULSD+ADDSD sequence the Go kernels compile
-// to; the *FMA bodies are the same loops with VFMADD231PD. Accumulator
-// state lives in Y0..Y3 for the whole call and is loaded from / stored
-// to *acc, so callers control seeding (zeros for fresh rows, the
-// current output for resumed tiles).
+// to; the *FMA bodies are the same loops with VFMADD231PD. In the
+// per-row primitives accumulator state lives in Y0..Y3 for the whole
+// call and is loaded from / stored to *acc, so callers control seeding
+// (zeros for fresh rows, the current output for resumed tiles).
 
-// func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-TEXT ·GatherSaxpy8(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
+// GatherRows / GatherRowsFMA: the whole row range of a CSR·dense
+// product in one call. Registers:
+//
+//   R11 rowPtr base      DI  idx base        SI  val base
+//   R8  b base           R9  row stride (k·8 bytes)
+//   R10 output cursor    BX  row i           R12 hi
+//   R13 rowPtr[i]        CX  rowPtr[i+1]     AX  entry p
+//   R14 b column cursor  DX  idx[p]·stride / columns left (bytes)
+//
+// Each row is cut into 32-column panels (accumulators Y0..Y7) and a
+// 16- and/or 8-column tail (Y0..Y3, Y0..Y1); one pass over the row's
+// entries per panel, broadcast value in Y8, products in Y9..Y12. The
+// accumulators start at zero and are stored straight to the output, so
+// an empty row is written as zeros. The output cursor advances by the
+// panel widths, which sum to k: k must be a positive multiple of 8.
+
+// func GatherRows(rowPtr []int, idx []int, val []float64, b []float64, out []float64, k, lo, hi int)
+TEXT ·GatherRows(SB), NOSPLIT, $0-144
+	MOVQ rowPtr_base+0(FP), R11
 	MOVQ idx_base+24(FP), DI
-	MOVQ b_base+48(FP), R8
-	MOVQ stride+72(FP), R9
-	MOVQ acc+80(FP), R10
+	MOVQ val_base+48(FP), SI
+	MOVQ b_base+72(FP), R8
+	MOVQ out_base+96(FP), R10
+	MOVQ k+120(FP), R9
+	MOVQ lo+128(FP), BX
+	MOVQ hi+136(FP), R12
 	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	XORQ AX, AX
-g8loop:
+	MOVQ BX, AX
+	IMULQ R9, AX
+	ADDQ AX, R10
+gatherrowsrow:
+	CMPQ BX, R12
+	JGE  gatherrowsdone
+	MOVQ (R11)(BX*8), R13
+	MOVQ 8(R11)(BX*8), CX
+	MOVQ R8, R14
+gatherrowspanel:
+	MOVQ R8, DX
+	ADDQ R9, DX
+	SUBQ R14, DX
+	CMPQ DX, $256
+	JGE  gatherrowsp32
+	CMPQ DX, $128
+	JGE  gatherrowsp16
+	CMPQ DX, $64
+	JGE  gatherrowsp8
+	INCQ BX
+	JMP  gatherrowsrow
+gatherrowsp32:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ R13, AX
+gatherrowsl32:
 	CMPQ AX, CX
-	JGE  g8done
+	JGE  gatherrowss32
 	MOVQ (DI)(AX*8), DX
 	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y2
-	VMULPD (R8)(DX*1), Y2, Y3
-	VADDPD Y3, Y0, Y0
-	VMULPD 32(R8)(DX*1), Y2, Y4
-	VADDPD Y4, Y1, Y1
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VMULPD 160(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y5, Y5
+	VMULPD 192(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y6, Y6
+	VMULPD 224(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y7, Y7
 	INCQ AX
-	JMP  g8loop
-g8done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VZEROUPPER
-	RET
-
-// func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-TEXT ·GatherSaxpy8FMA(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ b_base+48(FP), R8
-	MOVQ stride+72(FP), R9
-	MOVQ acc+80(FP), R10
-	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	XORQ AX, AX
-g8floop:
-	CMPQ AX, CX
-	JGE  g8fdone
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y2
-	VFMADD231PD (R8)(DX*1), Y2, Y0
-	VFMADD231PD 32(R8)(DX*1), Y2, Y1
-	INCQ AX
-	JMP  g8floop
-g8fdone:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VZEROUPPER
-	RET
-
-// func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
-TEXT ·GatherSaxpy16(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ b_base+48(FP), R8
-	MOVQ stride+72(FP), R9
-	MOVQ acc+80(FP), R10
-	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD 64(R10), Y2
-	VMOVUPD 96(R10), Y3
-	XORQ AX, AX
-g16loop:
-	CMPQ AX, CX
-	JGE  g16done
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y4
-	VMULPD (R8)(DX*1), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(R8)(DX*1), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD 64(R8)(DX*1), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD 96(R8)(DX*1), Y4, Y8
-	VADDPD Y8, Y3, Y3
-	INCQ AX
-	JMP  g16loop
-g16done:
+	JMP  gatherrowsl32
+gatherrowss32:
 	VMOVUPD Y0, (R10)
 	VMOVUPD Y1, 32(R10)
 	VMOVUPD Y2, 64(R10)
 	VMOVUPD Y3, 96(R10)
-	VZEROUPPER
-	RET
-
-// func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
-TEXT ·GatherSaxpy16FMA(SB), NOSPLIT, $0-88
-	MOVQ val_base+0(FP), SI
-	MOVQ val_len+8(FP), CX
-	MOVQ idx_base+24(FP), DI
-	MOVQ b_base+48(FP), R8
-	MOVQ stride+72(FP), R9
-	MOVQ acc+80(FP), R10
-	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD 64(R10), Y2
-	VMOVUPD 96(R10), Y3
-	XORQ AX, AX
-g16floop:
+	VMOVUPD Y4, 128(R10)
+	VMOVUPD Y5, 160(R10)
+	VMOVUPD Y6, 192(R10)
+	VMOVUPD Y7, 224(R10)
+	ADDQ $256, R10
+	ADDQ $256, R14
+	JMP  gatherrowspanel
+gatherrowsp16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R13, AX
+gatherrowsl16:
 	CMPQ AX, CX
-	JGE  g16fdone
+	JGE  gatherrowss16
 	MOVQ (DI)(AX*8), DX
 	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y4
-	VFMADD231PD (R8)(DX*1), Y4, Y0
-	VFMADD231PD 32(R8)(DX*1), Y4, Y1
-	VFMADD231PD 64(R8)(DX*1), Y4, Y2
-	VFMADD231PD 96(R8)(DX*1), Y4, Y3
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y3, Y3
 	INCQ AX
-	JMP  g16floop
-g16fdone:
+	JMP  gatherrowsl16
+gatherrowss16:
 	VMOVUPD Y0, (R10)
 	VMOVUPD Y1, 32(R10)
 	VMOVUPD Y2, 64(R10)
 	VMOVUPD Y3, 96(R10)
+	ADDQ $128, R10
+	ADDQ $128, R14
+	JMP  gatherrowspanel
+gatherrowsp8:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R13, AX
+gatherrowsl8:
+	CMPQ AX, CX
+	JGE  gatherrowss8
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	INCQ AX
+	JMP  gatherrowsl8
+gatherrowss8:
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	ADDQ $64, R10
+	ADDQ $64, R14
+	JMP  gatherrowspanel
+gatherrowsdone:
+	VZEROUPPER
+	RET
+
+// func GatherRowsFMA(rowPtr []int, idx []int, val []float64, b []float64, out []float64, k, lo, hi int)
+TEXT ·GatherRowsFMA(SB), NOSPLIT, $0-144
+	MOVQ rowPtr_base+0(FP), R11
+	MOVQ idx_base+24(FP), DI
+	MOVQ val_base+48(FP), SI
+	MOVQ b_base+72(FP), R8
+	MOVQ out_base+96(FP), R10
+	MOVQ k+120(FP), R9
+	MOVQ lo+128(FP), BX
+	MOVQ hi+136(FP), R12
+	SHLQ $3, R9
+	MOVQ BX, AX
+	IMULQ R9, AX
+	ADDQ AX, R10
+gatherrowsfmarow:
+	CMPQ BX, R12
+	JGE  gatherrowsfmadone
+	MOVQ (R11)(BX*8), R13
+	MOVQ 8(R11)(BX*8), CX
+	MOVQ R8, R14
+gatherrowsfmapanel:
+	MOVQ R8, DX
+	ADDQ R9, DX
+	SUBQ R14, DX
+	CMPQ DX, $256
+	JGE  gatherrowsfmap32
+	CMPQ DX, $128
+	JGE  gatherrowsfmap16
+	CMPQ DX, $64
+	JGE  gatherrowsfmap8
+	INCQ BX
+	JMP  gatherrowsfmarow
+gatherrowsfmap32:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ R13, AX
+gatherrowsfmal32:
+	CMPQ AX, CX
+	JGE  gatherrowsfmas32
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VFMADD231PD (R14)(DX*1), Y8, Y0
+	VFMADD231PD 32(R14)(DX*1), Y8, Y1
+	VFMADD231PD 64(R14)(DX*1), Y8, Y2
+	VFMADD231PD 96(R14)(DX*1), Y8, Y3
+	VFMADD231PD 128(R14)(DX*1), Y8, Y4
+	VFMADD231PD 160(R14)(DX*1), Y8, Y5
+	VFMADD231PD 192(R14)(DX*1), Y8, Y6
+	VFMADD231PD 224(R14)(DX*1), Y8, Y7
+	INCQ AX
+	JMP  gatherrowsfmal32
+gatherrowsfmas32:
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	VMOVUPD Y4, 128(R10)
+	VMOVUPD Y5, 160(R10)
+	VMOVUPD Y6, 192(R10)
+	VMOVUPD Y7, 224(R10)
+	ADDQ $256, R10
+	ADDQ $256, R14
+	JMP  gatherrowsfmapanel
+gatherrowsfmap16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R13, AX
+gatherrowsfmal16:
+	CMPQ AX, CX
+	JGE  gatherrowsfmas16
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VFMADD231PD (R14)(DX*1), Y8, Y0
+	VFMADD231PD 32(R14)(DX*1), Y8, Y1
+	VFMADD231PD 64(R14)(DX*1), Y8, Y2
+	VFMADD231PD 96(R14)(DX*1), Y8, Y3
+	INCQ AX
+	JMP  gatherrowsfmal16
+gatherrowsfmas16:
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	ADDQ $128, R10
+	ADDQ $128, R14
+	JMP  gatherrowsfmapanel
+gatherrowsfmap8:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R13, AX
+gatherrowsfmal8:
+	CMPQ AX, CX
+	JGE  gatherrowsfmas8
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VFMADD231PD (R14)(DX*1), Y8, Y0
+	VFMADD231PD 32(R14)(DX*1), Y8, Y1
+	INCQ AX
+	JMP  gatherrowsfmal8
+gatherrowsfmas8:
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	ADDQ $64, R10
+	ADDQ $64, R14
+	JMP  gatherrowsfmapanel
+gatherrowsfmadone:
 	VZEROUPPER
 	RET
 

@@ -19,16 +19,45 @@ func SIMDName() string { return "neon" }
 // one, so both report the same suffix.
 func FMAName() string { return "neon" }
 
-// GatherSaxpy8 computes acc[j] += val[p]·b[idx[p]·stride+j] for j<8,
+// GatherRows computes out[i·k+j] = Σ_p val[p]·b[idx[p]·k+j] for every
+// row i in [lo,hi) and j<k, p ascending over [rowPtr[i], rowPtr[i+1]) —
+// the whole row range of a CSR·dense product. Every row in the range is
+// written (an empty row as zeros); k must be a positive multiple of 8.
+// On arm64 it walks the rows in Go, one gatherSaxpy16 per 16-column
+// panel and a gatherSaxpy8 for an 8-column tail.
+func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		rs, re := rowPtr[i], rowPtr[i+1]
+		v, ix := val[rs:re], idx[rs:re]
+		j0 := 0
+		for ; j0+16 <= k; j0 += 16 {
+			var acc [16]float64
+			gatherSaxpy16(v, ix, b[j0:], k, &acc)
+			copy(out[i*k+j0:][:16], acc[:])
+		}
+		for ; j0 < k; j0 += 8 {
+			var acc [8]float64
+			gatherSaxpy8(v, ix, b[j0:], k, &acc)
+			copy(out[i*k+j0:][:8], acc[:])
+		}
+	}
+}
+
+// GatherRowsFMA is GatherRows: NEON FMLA is already fused.
+func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	GatherRows(rowPtr, idx, val, b, out, k, lo, hi)
+}
+
+// gatherSaxpy8 computes acc[j] += val[p]·b[idx[p]·stride+j] for j<8,
 // p ascending — one 8-wide sparse row accumulation.
 //
 //go:noescape
-func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
+func gatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
 
-// GatherSaxpy16 is the 16-wide form of GatherSaxpy8.
+// gatherSaxpy16 is the 16-wide form of gatherSaxpy8.
 //
 //go:noescape
-func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
+func gatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
 
 // SaxpyRows8 computes acc[j] += a[l]·b[l·stride+j] for j<8, l ascending
 // — one 8-wide dense row accumulation.
@@ -57,12 +86,6 @@ func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64)
 // The *FMA names alias the base primitives (tail-jump thunks in the
 // assembly): FMLA is already fused, so there is no separate flavor.
 //
-//go:noescape
-func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-
-//go:noescape
-func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
-
 //go:noescape
 func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)
 

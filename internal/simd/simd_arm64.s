@@ -15,8 +15,8 @@
 // the oracle and the base flavor is already the FMA flavor. The *FMA
 // symbols at the bottom are tail-jump aliases.
 
-// func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
-TEXT ·GatherSaxpy8(SB), NOSPLIT, $0-88
+// func gatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
+TEXT ·gatherSaxpy8(SB), NOSPLIT, $0-88
 	MOVD val_base+0(FP), R0
 	MOVD val_len+8(FP), R1
 	MOVD idx_base+24(FP), R2
@@ -45,8 +45,8 @@ g8done:
 	VST1 [V0.D2, V1.D2, V2.D2, V3.D2], (R5)
 	RET
 
-// func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
-TEXT ·GatherSaxpy16(SB), NOSPLIT, $0-88
+// func gatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64)
+TEXT ·gatherSaxpy16(SB), NOSPLIT, $0-88
 	MOVD val_base+0(FP), R0
 	MOVD val_len+8(FP), R1
 	MOVD idx_base+24(FP), R2
@@ -216,12 +216,6 @@ t24done:
 	RET
 
 // FMLA is already fused — the *FMA flavor aliases the base symbols.
-
-TEXT ·GatherSaxpy8FMA(SB), NOSPLIT, $0-88
-	B ·GatherSaxpy8(SB)
-
-TEXT ·GatherSaxpy16FMA(SB), NOSPLIT, $0-88
-	B ·GatherSaxpy16(SB)
 
 TEXT ·SaxpyRows8FMA(SB), NOSPLIT, $0-64
 	B ·SaxpyRows8(SB)

@@ -20,12 +20,8 @@ func SIMDName() string { return "purego" }
 // FMAName is the suffix of the fused flavor.
 func FMAName() string { return "purego" }
 
-func GatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64) {
-	refGatherSaxpy8(val, idx, b, stride, acc)
-}
-
-func GatherSaxpy16(val []float64, idx []int, b []float64, stride int, acc *[16]float64) {
-	refGatherSaxpy16(val, idx, b, stride, acc)
+func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	refGatherRows(rowPtr, idx, val, b, out, k, lo, hi)
 }
 
 func SaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64) {
@@ -44,12 +40,8 @@ func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64) {
 	refTile2x4(a, b, k1, k2, n, acc)
 }
 
-func GatherSaxpy8FMA(val []float64, idx []int, b []float64, stride int, acc *[8]float64) {
-	refGatherSaxpy8FMA(val, idx, b, stride, acc)
-}
-
-func GatherSaxpy16FMA(val []float64, idx []int, b []float64, stride int, acc *[16]float64) {
-	refGatherSaxpy16FMA(val, idx, b, stride, acc)
+func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
+	refGatherRowsFMA(rowPtr, idx, val, b, out, k, lo, hi)
 }
 
 func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64) {

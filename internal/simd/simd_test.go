@@ -37,41 +37,71 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-func TestGatherSaxpyBitwise(t *testing.T) {
+// randCSR returns the row pointers, column indices and values of a
+// rows×cols sparse matrix with nnz entries spread over random rows, plus
+// empty rows at the start, middle and end and two consecutive empty
+// rows; a single-entry row follows each empty run.
+func randCSR(r *rand.Rand, rows, cols, nnz int) (rowPtr, idx []int, val []float64) {
+	empty := map[int]bool{0: true, rows / 2: true, rows/2 + 1: true, rows - 1: true}
+	single := map[int]bool{1: true, rows/2 + 2: true}
+	counts := make([]int, rows)
+	for i := range counts {
+		if single[i] {
+			counts[i] = 1
+		}
+	}
+	for n := 0; n < nnz; n++ {
+		i := r.Intn(rows)
+		if !empty[i] && !single[i] {
+			counts[i]++
+		}
+	}
+	rowPtr = make([]int, rows+1)
+	for i, c := range counts {
+		rowPtr[i+1] = rowPtr[i] + c
+	}
+	idx = randIdx(r, rowPtr[rows], cols)
+	val = fill(r, rowPtr[rows])
+	return rowPtr, idx, val
+}
+
+// TestGatherRowsBitwise: over a whole row range and over a sub-range,
+// both flavors reproduce their references bit for bit, write every row
+// of the range (the output is NaN-prefilled) and touch no row outside it.
+func TestGatherRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for _, stride := range []int{8, 16, 24, 40} {
-		for _, nnz := range []int{0, 1, 3, 17, 256} {
-			val := fill(r, nnz)
-			idx := randIdx(r, nnz, 50)
-			b := fill(r, 50*stride)
-			if stride >= 8 {
-				var got, want [8]float64
-				copy(got[:], fill(r, 8))
-				want = got
-				GatherSaxpy8(val, idx, b, stride, &got)
-				refGatherSaxpy8(val, idx, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("GatherSaxpy8 stride=%d nnz=%d: %v != %v", stride, nnz, got, want)
+	const rows, cols = 23, 50
+	rowPtr, idx, val := randCSR(r, rows, cols, 180)
+	for _, k := range []int{8, 16, 24, 32, 40, 64, 128} {
+		b := fill(r, cols*k)
+		for _, rg := range [][2]int{{0, rows}, {3, 17}, {5, 5}} {
+			lo, hi := rg[0], rg[1]
+			for _, fl := range []struct {
+				name     string
+				got, ref func(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
+			}{
+				{"GatherRows", GatherRows, refGatherRows},
+				{"GatherRowsFMA", GatherRowsFMA, refGatherRowsFMA},
+			} {
+				got := make([]float64, rows*k)
+				want := make([]float64, rows*k)
+				for i := range got {
+					got[i], want[i] = math.NaN(), math.NaN()
 				}
-				GatherSaxpy8FMA(val, idx, b, stride, &got)
-				refGatherSaxpy8FMA(val, idx, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("GatherSaxpy8FMA stride=%d nnz=%d: %v != %v", stride, nnz, got, want)
+				fl.got(rowPtr, idx, val, b, got, k, lo, hi)
+				fl.ref(rowPtr, idx, val, b, want, k, lo, hi)
+				for i := range got {
+					row := i / k
+					inside := row >= lo && row < hi
+					if inside && math.IsNaN(got[i]) {
+						t.Fatalf("%s k=%d [%d,%d): row %d left unwritten", fl.name, k, lo, hi, row)
+					}
+					if !inside && !math.IsNaN(got[i]) {
+						t.Fatalf("%s k=%d [%d,%d): row %d outside the range written", fl.name, k, lo, hi, row)
+					}
 				}
-			}
-			if stride >= 16 {
-				var got, want [16]float64
-				copy(got[:], fill(r, 16))
-				want = got
-				GatherSaxpy16(val, idx, b, stride, &got)
-				refGatherSaxpy16(val, idx, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("GatherSaxpy16 stride=%d nnz=%d: %v != %v", stride, nnz, got, want)
-				}
-				GatherSaxpy16FMA(val, idx, b, stride, &got)
-				refGatherSaxpy16FMA(val, idx, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("GatherSaxpy16FMA stride=%d nnz=%d: %v != %v", stride, nnz, got, want)
+				if !sameBits(got, want) {
+					t.Fatalf("%s k=%d [%d,%d): differs from its reference", fl.name, k, lo, hi)
 				}
 			}
 		}
@@ -169,22 +199,21 @@ func TestTile2x4Bitwise(t *testing.T) {
 // Benchmarks: ref vs asm for the widest shapes, to size the speedup the
 // engine-level flavors can deliver.
 
-func benchGather16(b *testing.B, f func([]float64, []int, []float64, int, *[16]float64)) {
+func benchGatherRows(b *testing.B, f func(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)) {
 	r := rand.New(rand.NewSource(23))
-	const nnz, rows, stride = 64, 4096, 16
-	val := fill(r, nnz)
-	idx := randIdx(r, nnz, rows)
-	mat := fill(r, rows*stride)
-	var acc [16]float64
-	b.SetBytes(int64(nnz * stride * 8))
+	const rows, cols, nnz, k = 512, 4096, 8192, 32
+	rowPtr, idx, val := randCSR(r, rows, cols, nnz)
+	mat := fill(r, cols*k)
+	out := make([]float64, rows*k)
+	b.SetBytes(int64(rowPtr[rows] * k * 8))
 	for i := 0; i < b.N; i++ {
-		f(val, idx, mat, stride, &acc)
+		f(rowPtr, idx, val, mat, out, k, 0, rows)
 	}
 }
 
-func BenchmarkGather16Ref(b *testing.B)  { benchGather16(b, refGatherSaxpy16) }
-func BenchmarkGather16SIMD(b *testing.B) { benchGather16(b, GatherSaxpy16) }
-func BenchmarkGather16FMA(b *testing.B)  { benchGather16(b, GatherSaxpy16FMA) }
+func BenchmarkGatherRowsRef(b *testing.B)  { benchGatherRows(b, refGatherRows) }
+func BenchmarkGatherRowsSIMD(b *testing.B) { benchGatherRows(b, GatherRows) }
+func BenchmarkGatherRowsFMA(b *testing.B)  { benchGatherRows(b, GatherRowsFMA) }
 
 func benchRows16(b *testing.B, f func([]float64, []float64, int, *[16]float64)) {
 	r := rand.New(rand.NewSource(29))

@@ -96,48 +96,74 @@ func nnzPartition(rowPtr []int, nw int) []int {
 // MulDenseOpts computes m · b under the given tuning. This is the
 // O(|E|·k) kernel at the heart of Algorithm 1.
 func (m *CSR) MulDenseOpts(b *dense.Matrix, t Tuning) *dense.Matrix {
+	return m.MulDenseInto(dense.New(m.Rows, b.Cols), b, t)
+}
+
+// MulDenseInto computes m · b into dst and returns dst. dst must be
+// m.Rows×b.Cols and must not alias b; every element is overwritten, so
+// its previous contents do not matter. Allocation-free whenever the
+// product runs sequentially.
+func (m *CSR) MulDenseInto(dst, b *dense.Matrix, t Tuning) *dense.Matrix {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: MulDense shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
+	checkDst("MulDenseInto", dst, b, m.Rows)
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	out, kname := m.mulRowParallel(b, t)
+	kname := m.mulRowParallel(dst, b, t)
 	km.record(opMul, t0, m.NNZ(), b.Cols, kname)
-	return out
+	return dst
+}
+
+// TMulDenseOpts computes mᵀ · b under the given tuning.
+func (m *CSR) TMulDenseOpts(b *dense.Matrix, t Tuning) *dense.Matrix {
+	return m.TMulDenseInto(dense.New(m.Cols, b.Cols), b, t)
+}
+
+// TMulDenseInto computes mᵀ · b into dst and returns dst, under the same
+// contract as MulDenseInto (dst is m.Cols×b.Cols). It routes through the
+// cached transpose (built once per matrix) and runs the same race-free
+// row-parallel gather, so no worker needs a private accumulator and
+// nothing is reduced at the end.
+func (m *CSR) TMulDenseInto(dst, b *dense.Matrix, t Tuning) *dense.Matrix {
+	if m.Rows != b.Rows {
+		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+	checkDst("TMulDenseInto", dst, b, m.Cols)
+	km := kernelsEnabled()
+	t0 := kernelsNow(km)
+	kname := m.Transpose().mulRowParallel(dst, b, t)
+	km.record(opTMul, t0, m.NNZ(), b.Cols, kname)
+	return dst
+}
+
+// checkDst panics unless dst is a rows×b.Cols block distinct from b.
+func checkDst(op string, dst, b *dense.Matrix, rows int) {
+	if dst.Rows != rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("sparse: %s destination is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, b.Cols))
+	}
+	if len(dst.Data) > 0 && len(b.Data) > 0 && &dst.Data[0] == &b.Data[0] {
+		panic(fmt.Sprintf("sparse: %s destination aliases its input", op))
+	}
 }
 
 // mulRowParallel is the gather plan every block product runs:
-// nnz-balanced row partitions on the pool, blocked kernel per partition.
-// It also serves Wᵀ products, as products of the cached transpose.
-func (m *CSR) mulRowParallel(b *dense.Matrix, t Tuning) (*dense.Matrix, string) {
-	out := dense.New(m.Rows, b.Cols)
+// nnz-balanced row partitions on the pool, blocked kernel per partition,
+// each kernel writing its rows of out outright. It also serves Wᵀ
+// products, as products of the cached transpose.
+func (m *CSR) mulRowParallel(out, b *dense.Matrix, t Tuning) string {
 	k := b.Cols
 	kern, kname := dispatchMul(k, t.Kernels)
 	nw := t.workers(m.NNZ(), m.Rows)
 	if nw <= 1 {
 		kern(m, b.Data, out.Data, k, 0, m.Rows)
-		return out, kname
+		return kname
 	}
 	bounds := nnzPartition(m.RowPtr, nw)
 	par.Parts(nw, func(w int) {
 		kern(m, b.Data, out.Data, k, bounds[w], bounds[w+1])
 	})
-	return out, kname
-}
-
-// TMulDenseOpts computes mᵀ · b under the given tuning. It routes through
-// the cached transpose (built once per matrix) and runs the same
-// race-free row-parallel gather as MulDenseOpts, so no worker needs a
-// private accumulator and nothing is reduced at the end.
-func (m *CSR) TMulDenseOpts(b *dense.Matrix, t Tuning) *dense.Matrix {
-	if m.Rows != b.Rows {
-		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	km := kernelsEnabled()
-	t0 := kernelsNow(km)
-	out, kname := m.Transpose().mulRowParallel(b, t)
-	km.record(opTMul, t0, m.NNZ(), b.Cols, kname)
-	return out
+	return kname
 }
 
 // MulVecOpts computes m · x under the given tuning.

@@ -2,7 +2,7 @@ package sparse
 
 import "gebe/internal/cpu"
 
-// The inner SpMM kernels. All of them compute out[i,:] += Σ_p Val[p] ·
+// The inner SpMM kernels. All of them compute out[i,:] = Σ_p Val[p] ·
 // b[ColIdx[p],:] for rows i in [lo,hi) over row-major b and out with row
 // stride k, and all perform exactly (RowPtr[hi]-RowPtr[lo])·k multiply-
 // adds — the engine's fma counter is kernel-independent, which is what
@@ -17,8 +17,10 @@ import "gebe/internal/cpu"
 // kernel; KSI/RSVD blocks are k or k+oversample); panel8 tiles any
 // multiple of 8, and everything else falls through to the generic loop.
 
-// mulKernel computes rows [lo,hi) of m·b into out (row stride k). Output
-// rows must be zero on entry.
+// mulKernel computes rows [lo,hi) of m·b into out (row stride k). It
+// writes every row in [lo,hi) — an empty row as zeros — whatever the
+// rows held on entry, and touches no other row, so an engine product can
+// reuse a caller's buffer without clearing it first.
 type mulKernel func(m *CSR, bd, od []float64, k, lo, hi int)
 
 // The dispatch table. Scalar Go kernels are installed here; the vector
@@ -43,6 +45,7 @@ func dispatchMul(k int, mode cpu.KernelMode) (mulKernel, string) {
 func mulGeneric(m *CSR, bd, od []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		orow := od[i*k : (i+1)*k]
+		clear(orow)
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			w := m.Val[p]
 			brow := bd[m.ColIdx[p]*k:][:k]
@@ -128,9 +131,6 @@ func mulK16(m *CSR, bd, od []float64, _, lo, hi int) {
 func mulPanel8(m *CSR, bd, od []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		rs, re := m.RowPtr[i], m.RowPtr[i+1]
-		if rs == re {
-			continue
-		}
 		for j0 := 0; j0 < k; j0 += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			for p := rs; p < re; p++ {

@@ -161,3 +161,80 @@ func TestSIMDKernelNames(t *testing.T) {
 		}
 	}
 }
+
+// holeyCSR builds a rows×cols matrix whose first, middle and last rows
+// and columns are empty (the middle ones as a consecutive pair) and
+// whose second row and second column hold a single entry each, so both
+// the W·B and the Wᵀ·B gathers meet every empty-row position and a
+// one-entry row.
+func holeyCSR(t testing.TB, rows, cols, nnz int, seed uint64) *CSR {
+	r := rng(seed)
+	emptyR := map[int]bool{0: true, rows / 2: true, rows/2 + 1: true, rows - 1: true}
+	emptyC := map[int]bool{0: true, cols / 2: true, cols/2 + 1: true, cols - 1: true}
+	entries := []Entry{{Row: 1, Col: 2, Val: 0.5}, {Row: 2, Col: 1, Val: -0.25}}
+	for len(entries) < nnz {
+		i, j := r.IntN(rows), r.IntN(cols)
+		if emptyR[i] || emptyC[j] || i == 1 || j == 1 {
+			continue
+		}
+		entries = append(entries, Entry{Row: i, Col: j, Val: r.Float64()*2 - 1})
+	}
+	m, err := New(rows, cols, entries)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return m
+}
+
+// nanMatrix returns a rows×cols matrix filled with NaN: a destination
+// that proves every element was written.
+func nanMatrix(rows, cols int) *dense.Matrix {
+	m := dense.New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = math.NaN()
+	}
+	return m
+}
+
+// TestRangeKernelIntoBitwise pins the range kernels behind MulDenseInto
+// and TMulDenseInto: written into NaN-prefilled destinations, the Go and
+// SIMD flavors reproduce the reference loops bit for bit in both
+// directions at every panel width GEBE uses, on one and two threads,
+// with empty first/middle/last/consecutive rows and single-entry rows;
+// the fused flavor stays within fmaRelTol.
+func TestRangeKernelIntoBitwise(t *testing.T) {
+	flavors := []cpu.KernelMode{cpu.KernelGo}
+	if cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD {
+		flavors = append(flavors, cpu.KernelSIMD)
+	}
+	hasFMA := cpu.Resolve(cpu.KernelFMA) == cpu.KernelFMA
+	m := holeyCSR(t, 41, 29, 300, 61)
+	for _, k := range []int{8, 16, 24, 32, 40, 64, 128} {
+		b := dense.Random(m.Cols, k, rng(uint64(k)))
+		c := dense.Random(m.Rows, k, rng(uint64(k)+1))
+		wantMul := m.ReferenceMulDense(b, 1)
+		wantT := m.ReferenceTMulDense(c, 1)
+		for _, threads := range []int{1, 2} {
+			for _, fl := range flavors {
+				tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
+				name := fmt.Sprintf("k=%d/t=%d/%v", k, threads, fl)
+				if i, ok := bitsEqual(m.MulDenseInto(nanMatrix(m.Rows, k), b, tn).Data, wantMul.Data); !ok {
+					t.Fatalf("%s: MulDenseInto diverges from the reference at %d", name, i)
+				}
+				if i, ok := bitsEqual(m.TMulDenseInto(nanMatrix(m.Cols, k), c, tn).Data, wantT.Data); !ok {
+					t.Fatalf("%s: TMulDenseInto diverges from the reference at %d", name, i)
+				}
+			}
+			if !hasFMA {
+				continue
+			}
+			tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: cpu.KernelFMA}
+			if err := maxRelErr(m.MulDenseInto(nanMatrix(m.Rows, k), b, tn).Data, wantMul.Data); !(err <= fmaRelTol) {
+				t.Fatalf("k=%d/t=%d: FMA MulDenseInto rel err %g > %g", k, threads, err, fmaRelTol)
+			}
+			if err := maxRelErr(m.TMulDenseInto(nanMatrix(m.Cols, k), c, tn).Data, wantT.Data); !(err <= fmaRelTol) {
+				t.Fatalf("k=%d/t=%d: FMA TMulDenseInto rel err %g > %g", k, threads, err, fmaRelTol)
+			}
+		}
+	}
+}
