@@ -34,7 +34,7 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.5, "Geometric decay (gebe-geometric)")
 		tau     = flag.Int("tau", 20, "max path half-length (GEBE)")
 		iters   = flag.Int("t", 200, "max KSI sweeps (GEBE)")
-		epsilon = flag.Float64("eps", 0.1, "SVD error threshold (gebep)")
+		epsilon = flag.Float64("eps", 0.1, "SVD error threshold (gebep); the Krylov depth q = ceil(ln(|V|+2)/(4*sqrt(eps))) is capped at 5, so every eps below (ln(|V|+2)/16)^2 (about 0.24 at |V|=2500) gives the same solve")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		threads = flag.Int("threads", 1, "solver threads")
 		noScale = flag.Bool("noscale", false, "disable spectral scaling of W")

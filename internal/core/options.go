@@ -30,7 +30,10 @@ type Options struct {
 	// Lambda is the Poisson rate for GEBE^p (default 1).
 	Lambda float64
 	// Epsilon is the randomized-SVD error threshold for GEBE^p
-	// (default 0.1).
+	// (default 0.1). It sets the Krylov depth q = ⌈ln(|V|+2)/(4√ε)⌉, but
+	// the basis is capped at 6·(k+8) columns, so q ≤ 5. Every ε below
+	// (ln(|V|+2)/16)² therefore gives the same solve: at |V| ≈ 2500 that
+	// is every ε ≲ 0.24, the default included.
 	Epsilon float64
 	// Seed drives every random choice; equal seeds give equal outputs.
 	Seed uint64

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gebe/internal/cpu"
 	"gebe/internal/dense"
 	"gebe/internal/obs"
 )
@@ -15,6 +16,14 @@ import (
 // per user, which is where scoring time goes when the item side is
 // large.
 const TileUsers = 16
+
+// tileTuning is the one score rule of every serving and evaluation
+// path: a sequential product (callers supply the parallelism: eval
+// workers, concurrent serve requests) on the non-fused kernel flavor,
+// whatever GEBE_SIMD selects. Each score is then one ascending-order
+// dot product, bitwise dense.Dot, which is what lets the ANN probe and
+// the pruned selector's rescoring reproduce the tile exactly.
+var tileTuning = dense.Tuning{Kernels: cpu.KernelSIMD}
 
 // Scorer is the tiled GEMM scoring core shared by the top-N evaluation
 // protocol and the serving layer: it streams full score rows
@@ -102,11 +111,9 @@ func (s *Scorer) score(tr *obs.Trace, users []int, checkpoint func() error, emit
 		for bi, uu := range batch {
 			copy(ub.Row(bi), s.u.Row(uu))
 		}
-		// Tuning{} keeps the product sequential: scorer callers supply the
-		// parallelism (eval workers, concurrent serve requests).
 		sp := tr.StartSpan("score.tile")
 		t0 := time.Now()
-		dense.MulTInto(st, ub, s.v, dense.Tuning{})
+		dense.MulTInto(st, ub, s.v, tileTuning)
 		sp.Set("users", len(batch)).Set("items", s.v.Rows).End()
 		if m != nil {
 			m.tileSeconds.ObserveSince(t0)
@@ -141,6 +148,7 @@ type evalMetrics struct {
 	tileSeconds *obs.Histogram
 	tiles       *obs.Counter
 	users       *obs.Counter
+	rescored    *obs.Counter
 }
 
 var scorerMetrics atomic.Pointer[evalMetrics]
@@ -157,8 +165,9 @@ func EnableMetrics(r *obs.Registry) {
 		return
 	}
 	scorerMetrics.Store(&evalMetrics{
-		tileSeconds: r.Histogram("eval_score_tile_seconds", "wall-clock of one U-tile·Vᵀ scoring product", obs.FastBuckets),
-		tiles:       r.Counter("eval_score_tiles_total", "scoring GEMM tiles executed"),
+		tileSeconds: r.Histogram("eval_score_tile_seconds", "wall-clock of one scoring product: a U-tile·Vᵀ tile or a pruned selector's bound product", obs.FastBuckets),
+		tiles:       r.Counter("eval_score_tiles_total", "scoring products executed (tiles and bound products)"),
 		users:       r.Counter("eval_scored_users_total", "users scored against the full item side"),
+		rescored:    r.Counter("eval_pruned_rescored_total", "items the pruned top-N selector scored exactly (every item on its fallback)"),
 	})
 }

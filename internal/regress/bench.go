@@ -10,11 +10,15 @@ import (
 // BENCH_ANN.json (approximate-retrieval quality and latency, mode
 // "ann"). Kernel timings are machine-normalized before the double
 // threshold: the reference loops (legacy_seconds) run the same
-// unoptimized code on both sides, so the ratio of legacy totals
-// estimates how much faster or slower this machine is than the one that
-// produced the baseline, and the baseline's tuned timings are rescaled
-// by it. Without that, a CI runner slower than the committing laptop
-// would fail every cell.
+// unoptimized code on both sides, so each cell's legacy ratio estimates
+// how much faster or slower this machine is than the one that produced
+// the baseline at that cell's shape, and the cell's baseline tuned
+// timing is rescaled by it. Without that, a CI runner slower than the
+// committing laptop would fail every cell. The ratio is taken per cell,
+// not over the grid total: machines differ by shape (cache sizes,
+// memory bandwidth), and a total is dominated by its largest reference
+// cell, so one shape running much faster would rescale, and fail, every
+// other cell.
 
 // benchEntry is one experiment in a gebe-bench -json report.
 type benchEntry struct {
@@ -56,8 +60,10 @@ type annSummary struct {
 }
 
 // CompareBenchCells gates a fresh kernel grid against a baseline:
-// matched cells' tuned timings, with the baseline rescaled by the
-// legacy-total ratio so the comparison survives a machine change.
+// matched cells' tuned timings, each cell's baseline rescaled by that
+// cell's own legacy ratio so the comparison survives a machine change.
+// Cells without a positive legacy time on both sides cannot be
+// normalized and are skipped.
 func CompareBenchCells(experiment string, oldC, newC []benchCell, opt Options) Report {
 	opt = opt.withDefaults()
 	r := Report{Mode: "bench"}
@@ -65,21 +71,12 @@ func CompareBenchCells(experiment string, oldC, newC []benchCell, opt Options) R
 	for _, c := range oldC {
 		oldBy[c.key()] = c
 	}
-	var oldLegacy, newLegacy float64
-	matched := make([]benchCell, 0, len(newC))
 	for _, c := range newC {
-		if o, ok := oldBy[c.key()]; ok && o.LegacySeconds > 0 {
-			matched = append(matched, c)
-			oldLegacy += o.LegacySeconds
-			newLegacy += c.LegacySeconds
+		o, ok := oldBy[c.key()]
+		if !ok || o.LegacySeconds <= 0 || c.LegacySeconds <= 0 {
+			continue
 		}
-	}
-	if oldLegacy <= 0 {
-		return r // no comparable cells: nothing to gate
-	}
-	scale := newLegacy / oldLegacy
-	for _, c := range matched {
-		o := oldBy[c.key()]
+		scale := c.LegacySeconds / o.LegacySeconds
 		r.check(opt, experiment+"/"+c.key(), scale*o.TunedSeconds, c.TunedSeconds)
 	}
 	r.checkSIMDFloor(opt, experiment, newC)

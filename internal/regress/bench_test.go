@@ -36,6 +36,34 @@ func TestBenchGateMachineNormalized(t *testing.T) {
 	}
 }
 
+// TestBenchGateOneShapeFaster: a machine that runs one dominant cell 7×
+// faster, legacy and tuned alike, and every other cell as before. A
+// grid-total normalization would shrink every other cell's baseline by
+// the dominant cell's speed-up and read them all as regressed; the
+// per-cell normalization must report none.
+func TestBenchGateOneShapeFaster(t *testing.T) {
+	old := benchGrid(1, 1)
+	fast := benchGrid(1, 1)
+	qr := &fast[2]
+	if qr.Op != "qr" || qr.LegacySeconds < old[0].LegacySeconds+old[1].LegacySeconds {
+		t.Fatalf("grid changed: cell 2 must be the dominant qr cell, got %+v", *qr)
+	}
+	qr.LegacySeconds /= 7
+	qr.TunedSeconds /= 7
+	r := CompareBenchCells("DENSE", old, fast, Options{Ratio: 0.5, MinDelta: 0.002})
+	if len(r.Findings) != 0 || r.Checked != 3 {
+		t.Fatalf("one shape 7x faster: %d regressed of %d checked, want 0 of 3: %s",
+			len(r.Findings), r.Checked, r.Summary())
+	}
+	// The same machine with that cell's tuned kernel not sped up is a
+	// real regression of that cell alone.
+	qr.TunedSeconds *= 7
+	r = CompareBenchCells("DENSE", old, fast, Options{Ratio: 0.5, MinDelta: 0.002})
+	if len(r.Findings) != 1 || !strings.Contains(r.Findings[0].Metric, "/qr/") {
+		t.Fatalf("tuned qr not sped up with its reference: findings %+v, want the qr cell alone", r.Findings)
+	}
+}
+
 // TestBenchGateCatchesRealRegression: tuned timings regress while
 // legacy stays put — exactly the shape an optimization rollback has —
 // and the gate must fail on the big cell.

@@ -107,15 +107,17 @@ func TestRequestTraceRetrievableByID(t *testing.T) {
 			t.Errorf("trace has %d %q spans, want 1 (tree: %v)", count(names, phase), phase, names)
 		}
 	}
-	// 6 users → one 16-row tile; each scored user gets a rank span.
-	if got := count(names, "score.tile"); got != 1 {
-		t.Errorf("trace has %d score.tile spans, want 1 (tree: %v)", got, names)
+	// Each of the 6 scored users gets one score.tile and one rank span.
+	if got := count(names, "score.tile"); got != 6 {
+		t.Errorf("trace has %d score.tile spans, want 6 (tree: %v)", got, names)
 	}
 	if got := count(names, "rank"); got != 6 {
 		t.Errorf("trace has %d rank spans, want 6 (tree: %v)", got, names)
 	}
-	// Attribute spot checks: the score span carries batch and tile
-	// counts (JSON numbers decode as float64).
+	// Attribute spot checks: the score span carries the batch size and
+	// the items scored exactly (JSON numbers decode as float64). At k=8
+	// the pruned selector cannot prune (d ≥ k), so its fallback scores
+	// all 35 items of each of the 6 users.
 	var score *obs.Span
 	for _, c := range entry.Trace.Children {
 		if c.Name == "score" {
@@ -125,12 +127,12 @@ func TestRequestTraceRetrievableByID(t *testing.T) {
 	if score == nil {
 		t.Fatal("no score child")
 	}
-	if score.Attrs["users"] != 6.0 || score.Attrs["tiles"] != 1.0 {
-		t.Errorf("score attrs = %v, want users=6 tiles=1", score.Attrs)
+	if score.Attrs["users"] != 6.0 || score.Attrs["rescored"] != 210.0 {
+		t.Errorf("score attrs = %v, want users=6 rescored=210", score.Attrs)
 	}
 	tile := score.Children[0]
-	if tile.Name != "score.tile" || tile.Attrs["users"] != 6.0 || tile.Attrs["items"] != 35.0 {
-		t.Errorf("tile span = %s attrs %v, want score.tile users=6 items=35", tile.Name, tile.Attrs)
+	if tile.Name != "score.tile" || tile.Attrs["users"] != 1.0 || tile.Attrs["items"] != 35.0 {
+		t.Errorf("tile span = %s attrs %v, want score.tile users=1 items=35", tile.Name, tile.Attrs)
 	}
 }
 

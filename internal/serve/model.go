@@ -15,9 +15,9 @@ import (
 )
 
 // model is one immutable serving snapshot: the embedding, the per-user
-// training exclusion lists, the precomputed row norms, and the scorer
-// pools bound to those matrices — everything request handling reads that
-// must stay mutually consistent. The Server holds the current model
+// training exclusion lists, the precomputed row norms, the pruned top-N
+// selector, and the scorer pools bound to those matrices — everything
+// request handling reads that must stay mutually consistent. The Server holds the current model
 // behind one atomic pointer; a hot swap publishes a fully built
 // replacement with a single store, so no request ever observes state
 // from two versions. Handlers capture the pointer once on entry and use
@@ -51,9 +51,15 @@ type model struct {
 	// another model's clusters.
 	ann *ann.Index
 
-	// One scorer pool per GEMM orientation; scorers are not
+	// pruned is the exact bound-pruned top-N selector over the item side,
+	// which serves every exact recommend miss; recWork pools its
+	// per-request scratch.
+	pruned  *eval.Pruned
+	recWork sync.Pool
+
+	// One scorer pool per similarity side; scorers are not
 	// concurrency-safe, so each in-flight request checks one out.
-	recScorers, uSimScorers, vSimScorers sync.Pool
+	uSimScorers, vSimScorers sync.Pool
 }
 
 // newModel validates and precomputes one serving snapshot. train is
@@ -95,7 +101,8 @@ func newModel(version uint64, emb *core.Embedding, train *bigraph.Graph, annCfg 
 		}
 		m.ann = ix
 	}
-	m.recScorers.New = func() any { return eval.NewScorer(emb.U, emb.V) }
+	m.pruned = eval.NewPruned(emb.V)
+	m.recWork.New = func() any { return new(eval.PrunedWork) }
 	m.uSimScorers.New = func() any { return eval.NewScorer(emb.U, emb.U) }
 	m.vSimScorers.New = func() any { return eval.NewScorer(emb.V, emb.V) }
 	return m, nil

@@ -2,9 +2,11 @@
 // online top-N recommendation, same-side similarity and pair scoring over
 // a trained embedding, exposed as JSON over stdlib net/http.
 //
-// The handlers ride on the same tiled GEMM scoring core as the offline
-// evaluation protocol (eval.Scorer), so a served recommendation list is
-// byte-for-byte the list the eval harness would rank. Around the
+// Exact recommendations come from a bound-pruned top-N selector
+// (eval.Pruned) whose lists are bitwise those of the tiled GEMM scoring
+// core of the offline evaluation protocol (eval.Scorer), so a served
+// recommendation list is byte-for-byte the list the eval harness would
+// rank. Around the
 // handlers sits the request lifecycle shared with the coordinator
 // (internal/api): panic recovery, a semaphore concurrency limiter that
 // sheds load with 429 instead of queueing unboundedly, cooperative
@@ -170,12 +172,13 @@ func (s *Server) Handler() http.Handler {
 // testCheckpoint, when non-nil, replaces the deadline-derived scoring
 // checkpoint — the deterministic truncation hook for tests, which
 // cannot otherwise make a wall-clock budget expire between two specific
-// GEMM tiles. Never set outside _test files.
+// users or tiles. Never set outside _test files.
 var testCheckpoint func() func() error
 
 // checkpoint returns the cooperative cancellation hook scoring loops
-// call between GEMM tiles: nil when the request carries no deadline, so
-// the scorer skips the clock entirely.
+// call before each ranked user (recommend) or GEMM tile (similar): nil
+// when the request carries no deadline, so the loop skips the clock
+// entirely.
 func checkpoint(r *http.Request) func() error {
 	if testCheckpoint != nil {
 		return testCheckpoint()
@@ -309,41 +312,43 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		retrSp.Set("clusters", probed).Set("candidates", scored).End()
 	default:
-		sc := m.recScorers.Get().(*eval.Scorer)
-		defer m.recScorers.Put(sc)
-		scoreSp := tr.StartSpan("score").
-			Set("users", len(missUsers)).
-			Set("tiles", (len(missUsers)+eval.TileUsers-1)/eval.TileUsers)
-		mi := 0
-		err := sc.ScoreCtx(r.Context(), missUsers, checkpoint(r), func(u int, scores []float64) {
-			// The rank span covers training-edge masking plus top-N
-			// selection; it nests under "score" beside the scorer's
-			// per-tile "score.tile" spans.
-			rankSp := tr.StartSpan("rank").Set("user", u).Set("masked", mask)
+		// Exact lists come from the pruned selector, one user at a time:
+		// its bound product reads a (d+1)×|V| block, so batching users
+		// into one tile no longer saves a pass over V. Each user's
+		// "score.tile" (bound product) and "rank" (scan and rescoring)
+		// spans nest under "score".
+		work := m.recWork.Get().(*eval.PrunedWork)
+		defer m.recWork.Put(work)
+		scoreSp := tr.StartSpan("score").Set("users", len(missUsers))
+		check := checkpoint(r)
+		rescored := 0
+		for mi, u := range missUsers {
+			if check != nil {
+				if err := check(); err != nil {
+					if !errors.Is(err, budget.ErrExceeded) {
+						s.lc.Fail(w, http.StatusInternalServerError, err)
+						return
+					}
+					// Budget gone mid-batch: the users already ranked carry
+					// complete exact lists; ship them as a partial answer.
+					resp.Truncated = true
+					break
+				}
+			}
 			var skip []int32
 			if mask {
 				skip = m.trainItems.Of(u)
 			}
-			ids := eval.TopNExcluding(scores, n, skip)
+			ids, scores, st := m.pruned.TopN(r.Context(), work, m.emb.U.Row(u), n, skip)
+			rescored += st
 			items := make([]api.ScoredItem, len(ids))
 			for j, id := range ids {
-				items[j] = api.ScoredItem{Item: id, Score: scores[id]}
+				items[j] = api.ScoredItem{Item: id, Score: scores[j]}
 			}
 			s.cache.add(cacheKey(m.version, u, n, mask, mode, nprobe), items)
 			resp.Results[missSlots[mi]] = api.UserRecommendation{User: u, Items: items}
-			mi++
-			rankSp.End()
-		})
-		scoreSp.End()
-		if err != nil {
-			if !errors.Is(err, budget.ErrExceeded) {
-				s.lc.Fail(w, http.StatusInternalServerError, err)
-				return
-			}
-			// Budget gone between tiles: the mi users already emitted carry
-			// complete exact lists; ship them as a partial answer.
-			resp.Truncated = true
 		}
+		scoreSp.Set("rescored", rescored).End()
 	}
 	if resp.Truncated {
 		s.m.truncated.Inc()
@@ -528,6 +533,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 			"build_seconds":  m.ann.BuildSeconds(),
 		}
 	}
+	// The exact path's pruned selector: d = 0 means it cannot prune this
+	// embedding and every exact miss scores all items.
+	prunedInfo := map[string]any{
+		"dims":        m.pruned.Dims(),
+		"head_energy": m.pruned.HeadEnergy(),
+	}
 	// A sharded server advertises which slice of the item side it holds;
 	// the coordinator reads this block to build its id-remapping tables.
 	var shardInfo map[string]any
@@ -541,6 +552,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.lc.WriteJSON(w, http.StatusOK, map[string]any{
 		"ann":            annInfo,
+		"pruned":         prunedInfo,
 		"shard":          shardInfo,
 		"build":          obs.BuildInfo(),
 		"model_version":  m.version,

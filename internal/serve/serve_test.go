@@ -437,12 +437,11 @@ func TestRecommendTruncatedMidBatch(t *testing.T) {
 		name string
 		mode string
 		// allow is how many checkpoint calls succeed before the budget
-		// "expires". Exact checks once per 16-user GEMM tile, approx once
-		// per user.
+		// "expires". Both paths check once per user.
 		allow        int
 		wantComplete int
 	}{
-		{name: "exact first tile lands", mode: "exact", allow: 1, wantComplete: 16},
+		{name: "exact three users land", mode: "exact", allow: 3, wantComplete: 3},
 		{name: "approx two users land", mode: "approx", allow: 2, wantComplete: 2},
 	}
 	for _, tc := range cases {
