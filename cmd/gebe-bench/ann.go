@@ -41,6 +41,7 @@ type annReport struct {
 	Clusters        int                `json:"clusters"`
 	DefaultNprobe   int                `json:"default_nprobe"`
 	BuildSeconds    float64            `json:"build_seconds"`
+	Iters           int                `json:"iters"` // Lloyd iterations the build ran
 	Queries         int                `json:"queries"`
 	ExactMsPerQuery float64            `json:"exact_ms_per_query"`
 	Cells           []annCell          `json:"cells"`
@@ -87,11 +88,11 @@ func runANNBench(out io.Writer, gomaxprocs int, quick bool) (annReport, bool) {
 		GOMAXPROCS: gomaxprocs,
 		Users:      g.NU, Items: g.NV, K: k,
 		Clusters: ix.Clusters(), DefaultNprobe: ix.DefaultNprobe(),
-		BuildSeconds: ix.BuildSeconds(), Queries: queries,
+		BuildSeconds: ix.BuildSeconds(), Iters: ix.Iters(), Queries: queries,
 		Summary: map[string]float64{},
 	}
-	fmt.Fprintf(out, "index: %d clusters over %d items, default nprobe %d, built in %.2fs\n",
-		ix.Clusters(), ix.Items(), ix.DefaultNprobe(), ix.BuildSeconds())
+	fmt.Fprintf(out, "index: %d clusters over %d items, default nprobe %d, built in %.2fs (%d Lloyd iterations)\n",
+		ix.Clusters(), ix.Items(), ix.DefaultNprobe(), ix.BuildSeconds(), ix.Iters())
 
 	// Exact baseline: the serving path's per-user GEMM row + top-N.
 	const topN = 10

@@ -13,10 +13,11 @@
 // search.
 //
 // Build reuses the repository's engines: point-centroid distance tiles
-// go through internal/dense GEMM kernels and assignment parallelism
-// through the shared internal/par worker pool. Seeding is k-means++
-// from a fixed PCG stream, so builds are deterministic for a fixed
-// (items, Config).
+// go through the internal/dense panel GEMM kernels, and assignment and
+// seeding parallelism through the shared internal/par worker pool.
+// Seeding is k-means++ from a fixed PCG stream, so builds are
+// deterministic for a fixed (items, Config) and do not depend on the
+// thread count or the kernel flavor.
 package ann
 
 import (
@@ -50,7 +51,9 @@ type Config struct {
 	// Int8 additionally stores symmetric 8-bit quantized item rows with
 	// per-row scales, selectable per search via Options.Int8.
 	Int8 bool
-	// Threads caps parallel assignment workers; <1 selects GOMAXPROCS.
+	// Threads caps the build's workers, both the Lloyd assignment and
+	// each k-means++ seeding round; <1 selects GOMAXPROCS. The index is
+	// bitwise the same at every value.
 	Threads int
 	// Seed drives k-means++ seeding.
 	Seed uint64

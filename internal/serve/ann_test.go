@@ -141,6 +141,9 @@ func TestInfoReportsANN(t *testing.T) {
 	if bs, ok := a["build_seconds"].(float64); !ok || bs < 0 {
 		t.Errorf("ann build_seconds %v", a["build_seconds"])
 	}
+	if it, want := a["iters"], float64(s.model().ann.Iters()); it != want || want < 1 {
+		t.Errorf("ann iters %v, index ran %v", it, want)
+	}
 
 	plain, _ := newTestServer(t, Config{})
 	info = decode[map[string]any](t, get(t, plain.Handler(), "/v1/info"))

@@ -531,6 +531,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 			"default_nprobe": m.ann.DefaultNprobe(),
 			"int8":           m.ann.Int8(),
 			"build_seconds":  m.ann.BuildSeconds(),
+			"iters":          m.ann.Iters(),
 		}
 	}
 	// The exact path's pruned selector: d = 0 means it cannot prune this

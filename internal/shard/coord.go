@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -79,6 +80,8 @@ type Coordinator struct {
 
 type coordMetrics struct {
 	truncated       *obs.Counter
+	infoRejected    *obs.Counter
+	answersRejected *obs.Counter
 	healthyShards   *obs.Gauge
 	versionMismatch *obs.Gauge
 	ejections       *obs.Counter
@@ -123,6 +126,8 @@ func New(cfg Config) (*Coordinator, error) {
 	r := cfg.Metrics
 	c.m = coordMetrics{
 		truncated:       r.Counter("coord_truncated_total", "gathers answered partially (shard down, failed, or shard-side truncation)"),
+		infoRejected:    r.Counter("shard_info_rejected_total", "shard /v1/info bodies rejected as malformed or inconsistent (the shard stays unknown)"),
+		answersRejected: r.Counter("shard_answer_rejected_total", "shard /v1/recommend answers rejected by the gather (wrong users, item ids out of range, non-finite scores)"),
 		healthyShards:   r.Gauge("shard_healthy", "shards currently in the healthy set"),
 		versionMismatch: r.Gauge("shard_version_mismatch", "1 when healthy shards disagree on model version (coordinator not ready)"),
 		ejections:       r.Counter("shard_unhealthy_total", "shard ejections from the healthy set"),
@@ -287,22 +292,18 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		case call.resp.Status != http.StatusOK:
 			truncated = true
 		default:
-			var sr api.RecommendResponse
-			if err := json.Unmarshal(call.resp.Body, &sr); err != nil {
+			sr, err := decodeAnswer(call.resp.Body, users, call.shard.rows, call.shard.offset)
+			if err != nil {
+				// An answer the merge cannot trust counts as a failed call.
 				truncated = true
+				c.m.answersRejected.Inc()
+				c.noteFailure(call.shard.src, err)
 				continue
 			}
 			if sr.Truncated {
 				truncated = true
 			}
-			// Remap shard-local item ids to global rows before merging.
-			off := call.shard.offset
-			for _, ur := range sr.Results {
-				for j := range ur.Items {
-					ur.Items[j].Item += off
-				}
-			}
-			gathered = append(gathered, &sr)
+			gathered = append(gathered, sr)
 		}
 	}
 	if len(gathered) == 0 {
@@ -346,6 +347,36 @@ func (c *Coordinator) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(api.TruncatedHeader, "true")
 	}
 	c.lc.WriteJSON(w, http.StatusOK, resp)
+}
+
+// decodeAnswer decodes one shard's /v1/recommend body and remaps its
+// shard-local item ids to global rows (local + offset). The gather
+// merges results by position, so it rejects an answer that lists more
+// users than asked or a user other than users[i] at position i, an item
+// id outside the shard's [0, rows), or a non-finite score.
+func decodeAnswer(body []byte, users []int, rows, offset int) (*api.RecommendResponse, error) {
+	var sr api.RecommendResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		return nil, fmt.Errorf("shard answer: %w", err)
+	}
+	if len(sr.Results) > len(users) {
+		return nil, fmt.Errorf("shard answer: %d results for %d users", len(sr.Results), len(users))
+	}
+	for i, ur := range sr.Results {
+		if ur.User != users[i] {
+			return nil, fmt.Errorf("shard answer: result %d is user %d, asked %d", i, ur.User, users[i])
+		}
+		for j, it := range ur.Items {
+			if it.Item < 0 || it.Item >= rows {
+				return nil, fmt.Errorf("shard answer: item %d outside the shard's %d rows", it.Item, rows)
+			}
+			if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
+				return nil, fmt.Errorf("shard answer: item %d scored %v", it.Item, it.Score)
+			}
+			ur.Items[j].Item += offset
+		}
+	}
+	return &sr, nil
 }
 
 // --- /v1/similar ---------------------------------------------------

@@ -24,27 +24,23 @@ type shardState struct {
 	ejected bool // was healthy once, then ejected (distinguishes readmission from first admission)
 	fails   int  // consecutive probe/scatter failures
 	version string
-	// known marks the identity fields below as learned from /v1/info.
-	known        bool
-	index, count int
-	offset, rows int
-	total, users int
-	lastProbe    time.Time
-	lastErr      string
+	// known marks identity as learned from /v1/info.
+	known     bool
+	identity  identity
+	lastProbe time.Time
+	lastErr   string
 }
 
 // snapshotState is a consistent copy of a shard's mutable fields, the
 // form handlers read so no lock is held across a scatter.
 type snapshotState struct {
-	src          *shardState
-	addr         string
-	healthy      bool
-	known        bool
-	version      string
-	index, count int
-	offset, rows int
-	total, users int
-	lastErr      string
+	src     *shardState
+	addr    string
+	healthy bool
+	known   bool
+	version string
+	identity
+	lastErr string
 }
 
 func (s *shardState) snapshot() snapshotState {
@@ -52,8 +48,7 @@ func (s *shardState) snapshot() snapshotState {
 	defer s.mu.Unlock()
 	return snapshotState{
 		src: s, addr: s.addr, healthy: s.healthy, known: s.known, version: s.version,
-		index: s.index, count: s.count, offset: s.offset, rows: s.rows,
-		total: s.total, users: s.users, lastErr: s.lastErr,
+		identity: s.identity, lastErr: s.lastErr,
 	}
 }
 
@@ -119,7 +114,9 @@ func (c *Coordinator) probe(ctx context.Context, s *shardState) {
 
 // refreshInfo learns (or relearns) a shard's identity from /v1/info.
 // An unsharded server (no shard block) fronts as a single full slice —
-// the degenerate 1-shard topology used by tests and migrations.
+// the degenerate 1-shard topology used by tests and migrations. An
+// identity that fails parseInfo is counted and leaves the shard unknown,
+// so no scatter reaches it until a later probe reads a consistent one.
 func (c *Coordinator) refreshInfo(ctx context.Context, s *shardState) error {
 	resp, err := s.client.Do(ctx, http.MethodGet, "/v1/info", nil, nil)
 	if err != nil {
@@ -128,22 +125,63 @@ func (c *Coordinator) refreshInfo(ctx context.Context, s *shardState) error {
 	if resp.Status != http.StatusOK {
 		return fmt.Errorf("info status %d", resp.Status)
 	}
-	var info shardInfo
-	if err := json.Unmarshal(resp.Body, &info); err != nil {
-		return fmt.Errorf("info body: %w", err)
-	}
+	id, err := parseInfo(resp.Body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.users = info.Users
-	s.rows = info.Items
-	if info.Shard != nil {
-		s.index, s.count = info.Shard.Index, info.Shard.Count
-		s.offset, s.total = info.Shard.Offset, info.Shard.Total
-	} else {
-		s.index, s.count, s.offset, s.total = 0, 1, 0, info.Items
+	if err != nil {
+		s.known = false
+		c.m.infoRejected.Inc()
+		return err
 	}
-	s.known = true
+	s.identity, s.known = id, true
 	return nil
+}
+
+// InfoError reports a shard /v1/info body the coordinator cannot use:
+// malformed JSON, or a slice identity that contradicts itself.
+type InfoError struct {
+	Reason string
+}
+
+func (e *InfoError) Error() string { return "shard: rejected /v1/info: " + e.Reason }
+
+// identity is the item-row slice a shard advertises: it holds item rows
+// [offset, offset+rows) of total, as shard index of count, next to all
+// users rows of the user side.
+type identity struct {
+	users, rows   int
+	index, count  int
+	offset, total int
+}
+
+// parseInfo decodes a /v1/info body and checks that the slice it
+// advertises is one the id remapping can trust: non-negative sizes, a
+// shard index inside [0, count), and rows [offset, offset+items) inside
+// [0, total).
+func parseInfo(body []byte) (identity, error) {
+	var info shardInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		return identity{}, &InfoError{Reason: "body: " + err.Error()}
+	}
+	id := identity{users: info.Users, rows: info.Items, count: 1, total: info.Items}
+	if info.Shard != nil {
+		id.index, id.count = info.Shard.Index, info.Shard.Count
+		id.offset, id.total = info.Shard.Offset, info.Shard.Total
+	}
+	var reason string
+	switch {
+	case id.users < 0 || id.rows < 0:
+		reason = fmt.Sprintf("negative size (users %d, items %d)", id.users, id.rows)
+	case id.count <= 0:
+		reason = fmt.Sprintf("shard count %d", id.count)
+	case id.index < 0 || id.index >= id.count:
+		reason = fmt.Sprintf("shard index %d outside [0, %d)", id.index, id.count)
+	case id.offset < 0 || id.total < 0 || id.offset > id.total-id.rows:
+		reason = fmt.Sprintf("rows [%d, %d+%d) outside [0, %d)", id.offset, id.offset, id.rows, id.total)
+	default:
+		return id, nil
+	}
+	return identity{}, &InfoError{Reason: reason}
 }
 
 // noteFailure records one failed probe or scatter call; FailAfter
