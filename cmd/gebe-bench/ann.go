@@ -41,7 +41,8 @@ type annReport struct {
 	Clusters        int                `json:"clusters"`
 	DefaultNprobe   int                `json:"default_nprobe"`
 	BuildSeconds    float64            `json:"build_seconds"`
-	Iters           int                `json:"iters"` // Lloyd iterations the build ran
+	Iters           int                `json:"iters"`          // Lloyd iterations the build ran
+	AssignSkipped   float64            `json:"assign_skipped"` // share of point rows the Lloyd bounds settled
 	Queries         int                `json:"queries"`
 	ExactMsPerQuery float64            `json:"exact_ms_per_query"`
 	Cells           []annCell          `json:"cells"`
@@ -88,11 +89,11 @@ func runANNBench(out io.Writer, gomaxprocs int, quick bool) (annReport, bool) {
 		GOMAXPROCS: gomaxprocs,
 		Users:      g.NU, Items: g.NV, K: k,
 		Clusters: ix.Clusters(), DefaultNprobe: ix.DefaultNprobe(),
-		BuildSeconds: ix.BuildSeconds(), Iters: ix.Iters(), Queries: queries,
+		BuildSeconds: ix.BuildSeconds(), Iters: ix.Iters(), AssignSkipped: ix.AssignSkipped(), Queries: queries,
 		Summary: map[string]float64{},
 	}
-	fmt.Fprintf(out, "index: %d clusters over %d items, default nprobe %d, built in %.2fs (%d Lloyd iterations)\n",
-		ix.Clusters(), ix.Items(), ix.DefaultNprobe(), ix.BuildSeconds(), ix.Iters())
+	fmt.Fprintf(out, "index: %d clusters over %d items, default nprobe %d, built in %.2fs (%d Lloyd iterations, %.0f%% of assignment rows skipped)\n",
+		ix.Clusters(), ix.Items(), ix.DefaultNprobe(), ix.BuildSeconds(), ix.Iters(), 100*ix.AssignSkipped())
 
 	// Exact baseline: the serving path's per-user GEMM row + top-N.
 	const topN = 10

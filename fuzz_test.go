@@ -3,6 +3,9 @@ package gebe
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,6 +78,103 @@ func FuzzReadEmbedding(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("%q: rewrite is unstable:\n%s\nthen\n%s", data, first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// fuzzPlans are the block plans FuzzReadEmbeddingMatchesReference reads
+// every input with: ReadEmbedding's own, and two whose blocks and
+// worker ranges are a few bytes long, so fuzz-sized inputs cross block
+// and worker boundaries mid-file.
+var fuzzPlans = []blockPlan{
+	readPlan(),
+	{block: 32, minPart: 1, workers: 3},
+	{block: 128, minPart: 8, workers: 2},
+}
+
+// FuzzReadEmbeddingMatchesReference reads arbitrary bytes with
+// ReadEmbedding's block-parallel parser under every plan in fuzzPlans
+// and with the line-at-a-time reader it replaced: both must accept or
+// reject alike, with the same error text (the first error in file
+// order, with its line number), and fill U, V and every #meta field
+// with the same bits. Seed corpus:
+// testdata/fuzz/FuzzReadEmbeddingMatchesReference.
+func FuzzReadEmbeddingMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if nu, nv, k, ok := fuzzHeader(data); ok && nu+nv > fuzzMaxCells/k {
+			if lim := maxSideCells / k; nu <= lim && nv <= lim {
+				t.Skip("header allocates more than fuzzMaxCells")
+			}
+		}
+		want, wantErr := referenceReadEmbedding(bytes.NewReader(data))
+		for _, plan := range fuzzPlans {
+			got, err := readEmbedding(bytes.NewReader(data), plan)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("plan %+v on %q: error %v, reference %v", plan, data, err, wantErr)
+			}
+			if err != nil {
+				if got != nil {
+					t.Fatalf("plan %+v on %q: rejected (%v) but returned an embedding", plan, data, err)
+				}
+				continue
+			}
+			if d := embeddingDiff(got, want); d != "" {
+				t.Fatalf("plan %+v on %q: %s", plan, data, d)
+			}
+		}
+	})
+}
+
+// embeddingDiff describes the first difference between two embeddings,
+// comparing floats by their bits; "" when they are the same.
+func embeddingDiff(a, b *Embedding) string {
+	sameBits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case a.U.Rows != b.U.Rows || a.U.Cols != b.U.Cols || !sameBits(a.U.Data, b.U.Data):
+		return "U differs"
+	case a.V.Rows != b.V.Rows || a.V.Cols != b.V.Cols || !sameBits(a.V.Data, b.V.Data):
+		return "V differs"
+	case !sameBits(a.Values, b.Values):
+		return fmt.Sprintf("values %v, want %v", a.Values, b.Values)
+	case math.Float64bits(a.SigmaScale) != math.Float64bits(b.SigmaScale):
+		return fmt.Sprintf("sigma_scale %v, want %v", a.SigmaScale, b.SigmaScale)
+	}
+	ma, mb := *a, *b
+	ma.U, ma.V, ma.Values, ma.SigmaScale = nil, nil, nil, 0
+	mb.U, mb.V, mb.Values, mb.SigmaScale = nil, nil, nil, 0
+	if !reflect.DeepEqual(ma, mb) {
+		return fmt.Sprintf("meta %+v, want %+v", ma, mb)
+	}
+	return ""
+}
+
+// FuzzParseDecimal checks parseFloat, the exact decimal fast path with
+// its strconv fallback, against strconv.ParseFloat bit for bit and
+// error for error, and that the fast path never takes an input
+// ParseFloat rejects. Seed corpus: testdata/fuzz/FuzzParseDecimal.
+func FuzzParseDecimal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		want, wantErr := strconv.ParseFloat(s, 64)
+		got, err := parseFloat([]byte(s))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v (%#x), ParseFloat %v (%#x)",
+				s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("parseFloat(%q) error %v, ParseFloat %v", s, err, wantErr)
+		}
+		if x, ok := parseDecimal([]byte(s)); ok && (wantErr != nil || math.Float64bits(x) != math.Float64bits(want)) {
+			t.Fatalf("fast path took %q as %v; ParseFloat gives %v, %v", s, x, want, wantErr)
 		}
 	})
 }

@@ -98,6 +98,9 @@ type Index struct {
 	centroids *dense.Matrix // Clusters × k
 	members   [][]int32     // per-cluster item ids, ascending
 	iters     int           // Lloyd iterations actually run
+	// assignSkipped is the share of point rows the Lloyd bounds settled
+	// without measuring them, over all assignment passes.
+	assignSkipped float64
 
 	// Symmetric per-row int8 quantization (nil unless Config.Int8):
 	// items[i][j] ≈ scales[i] * q8[i*k+j].
@@ -116,9 +119,10 @@ func Build(items *dense.Matrix, cfg Config) (*Index, error) {
 	cfg = cfg.withDefaults(items.Rows)
 	ix := &Index{cfg: cfg, items: items}
 
-	cent, assign, iters := kmeans(items, cfg)
+	cent, assign, iters, skipped := kmeans(items, cfg)
 	ix.centroids = cent
 	ix.iters = iters
+	ix.assignSkipped = skipped
 
 	counts := make([]int, cfg.Clusters)
 	for _, a := range assign {
@@ -164,6 +168,12 @@ func (ix *Index) Int8() bool { return ix.q8 != nil }
 // Iters reports the Lloyd iterations the build actually ran (early
 // convergence stops before Config.Iters).
 func (ix *Index) Iters() int { return ix.iters }
+
+// AssignSkipped reports the share of point–centroid rows, over all the
+// build's Lloyd assignment passes, that the Hamerly bounds settled
+// without measuring: in [0, 1), since the first pass measures every
+// row.
+func (ix *Index) AssignSkipped() float64 { return ix.assignSkipped }
 
 // BuildSeconds reports the wall-clock the build took.
 func (ix *Index) BuildSeconds() float64 { return ix.buildSeconds }

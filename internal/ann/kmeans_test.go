@@ -337,3 +337,91 @@ func BenchmarkKmeans(b *testing.B) {
 		}
 	})
 }
+
+// TestLloydBoundSound checks the Lloyd bounds' rounding margin where it
+// decides. Each trial has one row x and two centroids: a first pass
+// assigns x to a clearly nearer centroid a and sets its bounds; then a
+// moves straight away from x and the other centroid b straight toward
+// it, so both bounds stay tight, until x sits on their bisector — one
+// ulp off it, or off by a gap from 2⁻⁵⁰ to 2⁻⁵ of the distance. The
+// rows are far from the origin against that distance, so the computed
+// scores carry rounding errors larger than the smallest gaps. The
+// second pass must assign what a pass without bounds assigns, and the
+// bounds must settle some rows, or the test shows nothing. A margin of
+// zero fails here.
+func TestLloydBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 5))
+	skipped, trials := 0, 0
+	unit := func(v []float64) {
+		var s float64
+		for j := range v {
+			v[j] = rng.NormFloat64()
+			s += v[j] * v[j]
+		}
+		for j := range v {
+			v[j] /= math.Sqrt(s)
+		}
+	}
+	for _, k := range []int{1, 2, 3, 8, 32} {
+		ua, ub := make([]float64, k), make([]float64, k)
+		for trial := 0; trial < 4000; trial++ {
+			x := dense.New(1, k)
+			far := math.Ldexp(1, rng.IntN(16))
+			for j := range x.Data {
+				x.Data[j] = far * rng.NormFloat64()
+			}
+			unit(ua)
+			unit(ub)
+			r := math.Ldexp(1+rng.Float64(), -rng.IntN(6))
+			drift := r * (0.05 + 0.4*rng.Float64())
+			gap := 0.0
+			if trial%2 == 1 {
+				gap = r * math.Ldexp(1, -5-rng.IntN(46))
+			}
+			a := rng.IntN(2)
+			before, after := dense.New(2, k), dense.New(2, k)
+			for j := 0; j < k; j++ {
+				before.Row(a)[j] = x.Data[j] + (r-drift)*ua[j]
+				before.Row(1 - a)[j] = x.Data[j] + (r+gap+drift)*ub[j]
+				after.Row(a)[j] = x.Data[j] + r*ua[j]
+				after.Row(1 - a)[j] = x.Data[j] + (r+gap)*ub[j]
+			}
+			j := rng.IntN(k)
+			x.Data[j] = math.Nextafter(x.Data[j], math.Inf(2*rng.IntN(2)-1))
+
+			as := newAssigner(x, 2, 1)
+			got := []int32{0}
+			as.run(before, got)
+			if got[0] != int32(a) {
+				t.Fatalf("k=%d: first pass assigned %d, want the nearer centroid %d", k, got[0], a)
+			}
+			as.run(after, got)
+			want := []int32{0}
+			newAssigner(x, 2, 1).run(after, want)
+			if got[0] != want[0] {
+				t.Fatalf("k=%d trial %d: bounds kept centroid %d, measuring gives %d (gap %g of %g)",
+					k, trial, got[0], want[0], gap, r)
+			}
+			skipped += as.skipped
+			trials++
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the bounds never settled a row; the test shows nothing")
+	}
+	t.Logf("bounds settled %d of %d second passes", skipped, trials)
+
+	// up and down are math.Nextafter toward ±Inf.
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, -1, 0x1p-1074, -0x1p-1074, 0x1p-1022,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), 3.5e-300, -7e200} {
+		if u, w := up(x), math.Nextafter(x, math.Inf(1)); math.Float64bits(u) != math.Float64bits(w) {
+			t.Errorf("up(%v) = %v, want %v", x, u, w)
+		}
+		if d, w := down(x), math.Nextafter(x, math.Inf(-1)); math.Float64bits(d) != math.Float64bits(w) {
+			t.Errorf("down(%v) = %v, want %v", x, d, w)
+		}
+	}
+	if !math.IsNaN(up(math.NaN())) || !math.IsNaN(down(math.NaN())) {
+		t.Error("up or down of NaN is not NaN")
+	}
+}

@@ -144,6 +144,9 @@ func TestInfoReportsANN(t *testing.T) {
 	if it, want := a["iters"], float64(s.model().ann.Iters()); it != want || want < 1 {
 		t.Errorf("ann iters %v, index ran %v", it, want)
 	}
+	if sk, ok := a["assign_skipped"].(float64); !ok || sk < 0 || sk >= 1 || sk != s.model().ann.AssignSkipped() {
+		t.Errorf("ann assign_skipped %v, want the index's share in [0, 1)", a["assign_skipped"])
+	}
 
 	plain, _ := newTestServer(t, Config{})
 	info = decode[map[string]any](t, get(t, plain.Handler(), "/v1/info"))

@@ -532,6 +532,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 			"int8":           m.ann.Int8(),
 			"build_seconds":  m.ann.BuildSeconds(),
 			"iters":          m.ann.Iters(),
+			"assign_skipped": m.ann.AssignSkipped(),
 		}
 	}
 	// The exact path's pruned selector: d = 0 means it cannot prune this
