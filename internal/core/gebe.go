@@ -24,8 +24,8 @@ type hOperator struct {
 	omega pmf.PMF
 	tau   int
 	spmm  sparse.Tuning
-	t     *dense.Matrix // |V|×k  Wᵀ·q
-	q     *dense.Matrix // |U|×k  q_ℓ = W·(Wᵀ·q_{ℓ−1})
+	t, tn *dense.Matrix // |V|×k  t_ℓ = Wᵀ·q_{ℓ−1} and the next hop's t_{ℓ+1}
+	q     *dense.Matrix // |U|×k  q_ℓ, only when the hops run as two gathers
 }
 
 // newHOperator builds the H operator of opt over w; every KSI-based
@@ -37,7 +37,9 @@ func newHOperator(w *sparse.CSR, opt Options) *hOperator {
 func (o *hOperator) Dim() int { return o.w.Rows }
 
 // ApplyInto writes H·z into dst (|U|×k, must not alias z): dst = ω(0)·z,
-// then dst += ω(ℓ)·q_ℓ for ℓ = 1..τ, element by element.
+// then t_1 = Wᵀ·z, then τ hops, hop ℓ adding ω(ℓ)·q_ℓ (q_ℓ = W·t_ℓ)
+// into dst element by element and, before the last, forming
+// t_{ℓ+1} = Wᵀ·q_ℓ (sparse.CSR.Hop).
 func (o *hOperator) ApplyInto(dst, z *dense.Matrix) *dense.Matrix {
 	if dst.Rows != o.w.Rows || dst.Cols != z.Cols || z.Rows != o.w.Rows {
 		panic(fmt.Sprintf("core: H·z with z %dx%d into %dx%d, want %d rows", z.Rows, z.Cols, dst.Rows, dst.Cols, o.w.Rows))
@@ -47,12 +49,17 @@ func (o *hOperator) ApplyInto(dst, z *dense.Matrix) *dense.Matrix {
 	for i, v := range z.Data {
 		dst.Data[i] = v * w0
 	}
-	ql := z
+	if o.tau < 1 {
+		return dst
+	}
+	o.w.TMulDenseInto(o.t, z, o.spmm)
 	for ell := 1; ell <= o.tau; ell++ {
-		ql = o.gram(o.q, ql)
-		if wl := o.omega.Weight(ell); wl != 0 {
-			dst.AddScaled(wl, ql)
+		var next *dense.Matrix
+		if ell < o.tau {
+			next = o.tn
 		}
+		o.w.Hop(dst, next, o.t, o.q, o.omega.Weight(ell), o.spmm)
+		o.t, o.tn = o.tn, o.t
 	}
 	return dst
 }
@@ -65,10 +72,17 @@ func (o *hOperator) gram(dst, x *dense.Matrix) *dense.Matrix {
 	return o.w.MulDenseInto(dst, o.t, o.spmm)
 }
 
-// scratch sizes the workspace for k-column blocks.
+// scratch sizes the workspace for k-column blocks: the two |V|×k blocks
+// the hops alternate between, and the |U|×k q block only when the hops
+// run as two gathers.
 func (o *hOperator) scratch(k int) {
-	if o.q == nil || o.q.Cols != k {
-		o.t = dense.New(o.w.Cols, k)
+	if o.t != nil && o.t.Cols == k {
+		return
+	}
+	o.t = dense.New(o.w.Cols, k)
+	o.tn = dense.New(o.w.Cols, k)
+	o.q = nil
+	if !o.w.HopFused(k, o.spmm) {
 		o.q = dense.New(o.w.Rows, k)
 	}
 }

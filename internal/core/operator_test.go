@@ -69,7 +69,7 @@ func TestHOperatorApplyIntoMatchesReference(t *testing.T) {
 	for _, om := range pmfs {
 		for _, tau := range []int{0, 1, 4} {
 			for _, threads := range []int{1, 2} {
-				for _, k := range []int{3, 32} {
+				for _, k := range []int{3, 8, 24, 32, 40, 64} {
 					opt := Options{PMF: om, Tau: tau, Threads: threads,
 						SpMM: sparse.Tuning{MinParallelNNZ: 1, Kernels: cpu.KernelSIMD}}
 					name := fmt.Sprintf("%s/tau=%d/t=%d/k=%d", om.Name(), tau, threads, k)
@@ -127,28 +127,31 @@ func TestGEBESweepSteadyStateAllocs(t *testing.T) {
 
 // TestGEBEThreadsBitwise: with every parallel gate dropped, GEBE on two
 // threads returns the one-thread embedding bit for bit — no sparse or
-// dense schedule splits a sum.
+// dense schedule splits a sum. At K=32 the one-thread hops run the fused
+// kernel where the CPU has it, and the two-thread ones the two gathers.
 func TestGEBEThreadsBitwise(t *testing.T) {
 	g := randomBipartite(t, 90, 60, 700, true, 33)
-	run := func(threads int) *Embedding {
-		emb, err := GEBE(g, Options{K: 6, Tau: 5, Iters: 40, Seed: 9, Threads: threads,
-			SpMM:  sparse.Tuning{MinParallelNNZ: 1},
-			Dense: dense.Tuning{MinParallelFlops: 1}})
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range []int{6, 32} {
+		run := func(threads int) *Embedding {
+			emb, err := GEBE(g, Options{K: k, Tau: 5, Iters: 40, Seed: 9, Threads: threads,
+				SpMM:  sparse.Tuning{MinParallelNNZ: 1},
+				Dense: dense.Tuning{MinParallelFlops: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return emb
 		}
-		return emb
-	}
-	one, two := run(1), run(2)
-	if !sameBitsMatrix(one.U, two.U) || !sameBitsMatrix(one.V, two.V) {
-		t.Fatal("GEBE embedding differs between Threads=1 and Threads=2")
-	}
-	for i := range one.Values {
-		if math.Float64bits(one.Values[i]) != math.Float64bits(two.Values[i]) {
-			t.Fatalf("eigenvalue %d differs between Threads=1 and Threads=2: %v vs %v", i, one.Values[i], two.Values[i])
+		one, two := run(1), run(2)
+		if !sameBitsMatrix(one.U, two.U) || !sameBitsMatrix(one.V, two.V) {
+			t.Fatalf("K=%d: GEBE embedding differs between Threads=1 and Threads=2", k)
 		}
-	}
-	if one.Sweeps != two.Sweeps {
-		t.Fatalf("sweeps differ: %d vs %d", one.Sweeps, two.Sweeps)
+		for i := range one.Values {
+			if math.Float64bits(one.Values[i]) != math.Float64bits(two.Values[i]) {
+				t.Fatalf("K=%d: eigenvalue %d differs between Threads=1 and Threads=2: %v vs %v", k, i, one.Values[i], two.Values[i])
+			}
+		}
+		if one.Sweeps != two.Sweeps {
+			t.Fatalf("K=%d: sweeps differ: %d vs %d", k, one.Sweeps, two.Sweeps)
+		}
 	}
 }

@@ -28,8 +28,10 @@
 // Bounds contract: the assembly performs no bounds checks. Callers
 // guarantee len(idx) == len(val), every idx[p]*stride (or l*stride)
 // block has the full vector width available in b/out, and n >= 0; for
-// GatherRows, that rowPtr holds hi+1 non-decreasing offsets into
-// idx/val, out holds hi·k elements and k is a positive multiple of 8.
+// GatherRows and HopRows, that rowPtr holds hi+1 non-decreasing offsets
+// into idx/val, out (HopRows' dst, unless empty) holds hi·k elements,
+// every idx[p] names a full k-wide row of b (t) and of HopRows' next
+// unless it is empty, and k is a positive multiple of 8.
 // The Go wrappers in internal/sparse and internal/dense derive those
 // guarantees from the CSR/Matrix invariants they already hold.
 package simd

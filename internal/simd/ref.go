@@ -21,6 +21,32 @@ func refGatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 	}
 }
 
+// refHopRows spells HopRows out as its three steps per row: the
+// refGatherRows sum into a row buffer, AddScaled's update of dst, and
+// the scatter of the reference Wᵀ·B loop.
+func refHopRows(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int) {
+	q := make([]float64, k)
+	for i := lo; i < hi; i++ {
+		refGatherRows(rowPtr[i:], idx, val, t, q, k, 0, 1)
+		if len(dst) > 0 {
+			d := dst[i*k:][:k]
+			for j, v := range q {
+				d[j] += w * v
+			}
+		}
+		if len(next) == 0 {
+			continue
+		}
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			v := val[p]
+			nrow := next[idx[p]*k:][:k]
+			for j, qv := range q {
+				nrow[j] += v * qv
+			}
+		}
+	}
+}
+
 func refSaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64) {
 	for l, av := range a {
 		row := b[l*stride:]

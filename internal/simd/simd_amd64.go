@@ -10,6 +10,10 @@ func HasSIMD() bool { return cpu.Supported().AVX2 }
 // HasFMA reports whether the fused primitives are usable.
 func HasFMA() bool { return cpu.Supported().HasFMA() }
 
+// HasHop reports whether HopRows is the vector kernel (the Go reference
+// otherwise, on every other build).
+func HasHop() bool { return HasSIMD() }
+
 // SIMDName is the instruction-set suffix kernel names carry ("k16+avx2").
 func SIMDName() string { return "avx2" }
 
@@ -24,6 +28,23 @@ func FMAName() string { return "fma" }
 //
 //go:noescape
 func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
+
+// HopRows runs rows [lo,hi) of one KSI hop in a single pass over the
+// CSR rows, ascending i, each row cut into 32/16/8-column panels:
+//
+//   - q[j] = Σ_p val[p]·t[idx[p]·k+j], p ascending, from +0 (GatherRows'
+//     loop, held in registers and never stored);
+//   - unless dst is empty, dst[i·k+j] = q[j]·w + dst[i·k+j], the
+//     multiply and the add rounded separately;
+//   - unless next is empty, next[idx[p]·k+j] += val[p]·q[j] for each p
+//     ascending, non-fused.
+//
+// next is not cleared here; it must not overlap t, and dst must overlap
+// neither. k must be a positive multiple of 8. There is no fused twin:
+// the FMA flavor runs its two gathers instead.
+//
+//go:noescape
+func HopRows(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int)
 
 // SaxpyRows8 computes acc[j] += a[l]·b[l·stride+j] for j<8, l ascending
 // — one 8-wide dense row accumulation.

@@ -286,6 +286,220 @@ gatherrowsfmadone:
 	VZEROUPPER
 	RET
 
+// HopRows: one KSI hop over a row range in one pass. Registers as in
+// GatherRows, plus:
+//
+//   R10 dst cursor (row i, current panel)   R15 next column cursor
+//   Y13 w, broadcast                         Y10 next panel in flight
+//
+// Per panel the row's entries are read twice: the gather (GatherRows'
+// loop, q in Y0..Y7) and, unless next is empty, the scatter. Between
+// them, unless dst is empty, HOPEPI updates dst. Operand order follows
+// the code each step replaces, so each lane's NaN result is the same too:
+// q·w then + dst (first operands q and the product, as AddScaled
+// compiles), and the scatter's val·q then next + product (first
+// operands val and next, as the Wᵀ gather's VMULPD/VADDPD).
+#define HOPEPI(off, q) VMULPD Y13, q, Y9; VADDPD off(R10), Y9, Y9; VMOVUPD Y9, off(R10)
+#define HOPSCAT(off, q) VMULPD q, Y8, Y9; VMOVUPD off(R15)(DX*1), Y10; VADDPD Y9, Y10, Y10; VMOVUPD Y10, off(R15)(DX*1)
+
+// func HopRows(rowPtr []int, idx []int, val []float64, t []float64, dst []float64, next []float64, w float64, k, lo, hi int)
+TEXT ·HopRows(SB), NOSPLIT, $0-176
+	MOVQ rowPtr_base+0(FP), R11
+	MOVQ idx_base+24(FP), DI
+	MOVQ val_base+48(FP), SI
+	MOVQ t_base+72(FP), R8
+	MOVQ dst_base+96(FP), R10
+	VBROADCASTSD w+144(FP), Y13
+	MOVQ k+152(FP), R9
+	MOVQ lo+160(FP), BX
+	MOVQ hi+168(FP), R12
+	SHLQ $3, R9
+	MOVQ BX, AX
+	IMULQ R9, AX
+	ADDQ AX, R10
+hoprow:
+	CMPQ BX, R12
+	JGE  hopdone
+	MOVQ (R11)(BX*8), R13
+	MOVQ 8(R11)(BX*8), CX
+	MOVQ R8, R14
+	MOVQ next_base+120(FP), R15
+hoppanel:
+	MOVQ R8, DX
+	ADDQ R9, DX
+	SUBQ R14, DX
+	CMPQ DX, $256
+	JGE  hopp32
+	CMPQ DX, $128
+	JGE  hopp16
+	CMPQ DX, $64
+	JGE  hopp8
+	INCQ BX
+	JMP  hoprow
+hopp32:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ R13, AX
+hopg32:
+	CMPQ AX, CX
+	JGE  hope32
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VMULPD 160(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y5, Y5
+	VMULPD 192(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y6, Y6
+	VMULPD 224(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y7, Y7
+	INCQ AX
+	JMP  hopg32
+hope32:
+	CMPQ dst_len+104(FP), $0
+	JEQ  hops32
+	HOPEPI(0, Y0)
+	HOPEPI(32, Y1)
+	HOPEPI(64, Y2)
+	HOPEPI(96, Y3)
+	HOPEPI(128, Y4)
+	HOPEPI(160, Y5)
+	HOPEPI(192, Y6)
+	HOPEPI(224, Y7)
+hops32:
+	CMPQ next_len+128(FP), $0
+	JEQ  hopn32
+	MOVQ R13, AX
+hopsl32:
+	CMPQ AX, CX
+	JGE  hopn32
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	HOPSCAT(0, Y0)
+	HOPSCAT(32, Y1)
+	HOPSCAT(64, Y2)
+	HOPSCAT(96, Y3)
+	HOPSCAT(128, Y4)
+	HOPSCAT(160, Y5)
+	HOPSCAT(192, Y6)
+	HOPSCAT(224, Y7)
+	INCQ AX
+	JMP  hopsl32
+hopn32:
+	ADDQ $256, R10
+	ADDQ $256, R14
+	ADDQ $256, R15
+	JMP  hoppanel
+hopp16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R13, AX
+hopg16:
+	CMPQ AX, CX
+	JGE  hope16
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R14)(DX*1), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R14)(DX*1), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	INCQ AX
+	JMP  hopg16
+hope16:
+	CMPQ dst_len+104(FP), $0
+	JEQ  hops16
+	HOPEPI(0, Y0)
+	HOPEPI(32, Y1)
+	HOPEPI(64, Y2)
+	HOPEPI(96, Y3)
+hops16:
+	CMPQ next_len+128(FP), $0
+	JEQ  hopn16
+	MOVQ R13, AX
+hopsl16:
+	CMPQ AX, CX
+	JGE  hopn16
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	HOPSCAT(0, Y0)
+	HOPSCAT(32, Y1)
+	HOPSCAT(64, Y2)
+	HOPSCAT(96, Y3)
+	INCQ AX
+	JMP  hopsl16
+hopn16:
+	ADDQ $128, R10
+	ADDQ $128, R14
+	ADDQ $128, R15
+	JMP  hoppanel
+hopp8:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R13, AX
+hopg8:
+	CMPQ AX, CX
+	JGE  hope8
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD (R14)(DX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R14)(DX*1), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	INCQ AX
+	JMP  hopg8
+hope8:
+	CMPQ dst_len+104(FP), $0
+	JEQ  hops8
+	HOPEPI(0, Y0)
+	HOPEPI(32, Y1)
+hops8:
+	CMPQ next_len+128(FP), $0
+	JEQ  hopn8
+	MOVQ R13, AX
+hopsl8:
+	CMPQ AX, CX
+	JGE  hopn8
+	MOVQ (DI)(AX*8), DX
+	IMULQ R9, DX
+	VBROADCASTSD (SI)(AX*8), Y8
+	HOPSCAT(0, Y0)
+	HOPSCAT(32, Y1)
+	INCQ AX
+	JMP  hopsl8
+hopn8:
+	ADDQ $64, R10
+	ADDQ $64, R14
+	ADDQ $64, R15
+	JMP  hoppanel
+hopdone:
+	VZEROUPPER
+	RET
+
 // func SaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64)
 TEXT ·SaxpyRows8(SB), NOSPLIT, $0-64
 	MOVQ a_base+0(FP), SI

@@ -12,6 +12,10 @@ func HasSIMD() bool { return cpu.Supported().NEON }
 // too, so the fused flavor is the baseline here.
 func HasFMA() bool { return cpu.Supported().NEON }
 
+// HasHop reports false: there is no NEON hop, so the engines run their
+// two gathers on arm64.
+func HasHop() bool { return false }
+
 // SIMDName is the instruction-set suffix kernel names carry ("k16+neon").
 func SIMDName() string { return "neon" }
 
@@ -46,6 +50,11 @@ func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 // GatherRowsFMA is GatherRows: NEON FMLA is already fused.
 func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 	GatherRows(rowPtr, idx, val, b, out, k, lo, hi)
+}
+
+// HopRows is the Go reference of the amd64 kernel (see HasHop).
+func HopRows(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int) {
+	refHopRows(rowPtr, idx, val, t, dst, next, w, k, lo, hi)
 }
 
 // gatherSaxpy8 computes acc[j] += val[p]·b[idx[p]·stride+j] for j<8,

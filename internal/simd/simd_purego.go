@@ -14,6 +14,9 @@ func HasSIMD() bool { return false }
 // HasFMA reports false: this build carries no fused kernels.
 func HasFMA() bool { return false }
 
+// HasHop reports false: HopRows is the Go reference here.
+func HasHop() bool { return false }
+
 // SIMDName is the instruction-set suffix kernel names would carry.
 func SIMDName() string { return "purego" }
 
@@ -22,6 +25,10 @@ func FMAName() string { return "purego" }
 
 func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 	refGatherRows(rowPtr, idx, val, b, out, k, lo, hi)
+}
+
+func HopRows(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int) {
+	refHopRows(rowPtr, idx, val, t, dst, next, w, k, lo, hi)
 }
 
 func SaxpyRows8(a []float64, b []float64, stride int, acc *[8]float64) {

@@ -108,6 +108,54 @@ func TestGatherRowsBitwise(t *testing.T) {
 	}
 }
 
+// specials overwrites every seventh element of s with ±0 or ±Inf. Sums
+// of opposite infinities then make NaNs, all of one bit pattern: two
+// different NaNs meeting in an add would come out as whichever operand
+// is first, and the Go references and the assembly put different
+// operands first.
+func specials(s []float64) []float64 {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	for i := 3; i < len(s); i += 7 {
+		s[i] = vals[(i/7)%len(vals)]
+	}
+	return s
+}
+
+// TestHopRowsBitwise: over whole and partial row ranges, with and
+// without dst and next, HopRows reproduces its three-step reference bit
+// for bit, ±0, ±Inf and NaN in t, dst and next included, and leaves the
+// rows of dst outside the range alone.
+func TestHopRowsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const rows, cols = 23, 50
+	rowPtr, idx, val := randCSR(r, rows, cols, 180)
+	for _, k := range []int{8, 16, 24, 32, 40, 56, 64, 96} {
+		tb := specials(fill(r, cols*k))
+		dst0 := specials(fill(r, rows*k))
+		next0 := specials(fill(r, cols*k))
+		for _, rg := range [][2]int{{0, rows}, {3, 17}, {5, 5}} {
+			for _, mode := range []struct{ dst, next bool }{{true, true}, {true, false}, {false, true}} {
+				lo, hi := rg[0], rg[1]
+				var gotD, wantD, gotN, wantN []float64
+				if mode.dst {
+					gotD, wantD = append([]float64(nil), dst0...), append([]float64(nil), dst0...)
+				}
+				if mode.next {
+					gotN, wantN = append([]float64(nil), next0...), append([]float64(nil), next0...)
+				}
+				HopRows(rowPtr, idx, val, tb, gotD, gotN, 0.37, k, lo, hi)
+				refHopRows(rowPtr, idx, val, tb, wantD, wantN, 0.37, k, lo, hi)
+				if !sameBits(gotD, wantD) || !sameBits(gotN, wantN) {
+					t.Fatalf("HopRows k=%d [%d,%d) dst=%v next=%v: differs from its reference", k, lo, hi, mode.dst, mode.next)
+				}
+				if mode.dst && (!sameBits(gotD[:lo*k], dst0[:lo*k]) || !sameBits(gotD[hi*k:], dst0[hi*k:])) {
+					t.Fatalf("HopRows k=%d [%d,%d): dst rows outside the range written", k, lo, hi)
+				}
+			}
+		}
+	}
+}
+
 func TestSaxpyRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, stride := range []int{8, 16, 32} {
@@ -214,6 +262,22 @@ func benchGatherRows(b *testing.B, f func(rowPtr, idx []int, val, b, out []float
 func BenchmarkGatherRowsRef(b *testing.B)  { benchGatherRows(b, refGatherRows) }
 func BenchmarkGatherRowsSIMD(b *testing.B) { benchGatherRows(b, GatherRows) }
 func BenchmarkGatherRowsFMA(b *testing.B)  { benchGatherRows(b, GatherRowsFMA) }
+
+func BenchmarkHopRowsRef(b *testing.B)  { benchHopRows(b, refHopRows) }
+func BenchmarkHopRowsSIMD(b *testing.B) { benchHopRows(b, HopRows) }
+
+func benchHopRows(b *testing.B, f func(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int)) {
+	r := rand.New(rand.NewSource(23))
+	const rows, cols, nnz, k = 512, 4096, 8192, 32
+	rowPtr, idx, val := randCSR(r, rows, cols, nnz)
+	mat := fill(r, cols*k)
+	dst := make([]float64, rows*k)
+	next := make([]float64, cols*k)
+	b.SetBytes(int64(2 * rowPtr[rows] * k * 8))
+	for i := 0; i < b.N; i++ {
+		f(rowPtr, idx, val, mat, dst, next, 0.5, k, 0, rows)
+	}
+}
 
 func benchRows16(b *testing.B, f func([]float64, []float64, int, *[16]float64)) {
 	r := rand.New(rand.NewSource(29))

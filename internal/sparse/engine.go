@@ -137,12 +137,84 @@ func (m *CSR) TMulDenseInto(dst, b *dense.Matrix, t Tuning) *dense.Matrix {
 	return dst
 }
 
+// HopFused reports whether Hop runs its one-pass kernel for k-column
+// blocks under t: the product gets one worker and a vector hop kernel
+// serves the width and flavor. When it does not, Hop needs a |U|×k
+// scratch block for q.
+func (m *CSR) HopFused(k int, t Tuning) bool {
+	return hasHop(k, t.Kernels) && t.workers(m.NNZ(), m.Rows) == 1
+}
+
+// Hop runs one hop of a KSI sweep over m (|U|×|V|) on k-column blocks:
+// q = m·tl, then dst += w·q element by element (skipped when w == 0),
+// then next = mᵀ·q unless next is nil. tl and next are |V|×k, dst and q
+// |U|×k; next's previous contents do not matter. next must not alias
+// tl, and dst must alias neither: the scatter into next runs while tl is
+// still being gathered.
+//
+// When HopFused holds, one pass over m's rows does all three steps and
+// q is never formed (q may be nil). Otherwise Hop runs MulDenseInto
+// into q, AddScaled and TMulDenseInto, allocating q if it is nil. Both
+// plans give the same bits (DESIGN.md §4, "KSI hop, bit for bit").
+func (m *CSR) Hop(dst, next, tl, q *dense.Matrix, w float64, t Tuning) {
+	if m.Cols != tl.Rows {
+		panic(fmt.Sprintf("sparse: Hop shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, tl.Rows, tl.Cols))
+	}
+	checkDst("Hop", dst, tl, m.Rows)
+	if next != nil {
+		if next.Rows != m.Cols || next.Cols != tl.Cols {
+			panic(fmt.Sprintf("sparse: Hop next block is %dx%d, want %dx%d", next.Rows, next.Cols, m.Cols, tl.Cols))
+		}
+		if sameData(next, tl) {
+			panic("sparse: Hop next block aliases its input")
+		}
+		if sameData(dst, next) {
+			panic("sparse: Hop destination aliases its next block")
+		}
+	}
+	k := tl.Cols
+	if !m.HopFused(k, t) {
+		if q == nil {
+			q = dense.New(m.Rows, k)
+		}
+		m.MulDenseInto(q, tl, t)
+		if w != 0 {
+			dst.AddScaled(w, q)
+		}
+		if next != nil {
+			m.TMulDenseInto(next, q, t)
+		}
+		return
+	}
+	km := kernelsEnabled()
+	t0 := kernelsNow(km)
+	dd, nd := dst.Data, []float64(nil)
+	if w == 0 {
+		dd = nil
+	}
+	// A hop that scatters books the nnz·k multiply-adds of both products
+	// it replaces; the last hop books W·t's alone.
+	passes := 1
+	if next != nil {
+		nd = next.Data
+		clear(nd)
+		passes = 2
+	}
+	hopRows(m, tl.Data, dd, nd, w, k, 0, m.Rows)
+	km.record(opMul, t0, m.NNZ(), passes*k, hopName)
+}
+
+// sameData reports whether two blocks start at the same element.
+func sameData(a, b *dense.Matrix) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
+}
+
 // checkDst panics unless dst is a rows×b.Cols block distinct from b.
 func checkDst(op string, dst, b *dense.Matrix, rows int) {
 	if dst.Rows != rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("sparse: %s destination is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, b.Cols))
 	}
-	if len(dst.Data) > 0 && len(b.Data) > 0 && &dst.Data[0] == &b.Data[0] {
+	if sameData(dst, b) {
 		panic(fmt.Sprintf("sparse: %s destination aliases its input", op))
 	}
 }
