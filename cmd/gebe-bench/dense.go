@@ -39,10 +39,8 @@ type denseCell struct {
 	// mean no vector kernels on this CPU (or -tags purego).
 	GoSeconds   float64 `json:"go_seconds,omitempty"`
 	SIMDSeconds float64 `json:"simd_seconds,omitempty"`
-	FMASeconds  float64 `json:"fma_seconds,omitempty"`
 	SIMDSpeedup float64 `json:"simd_speedup,omitempty"`
 	SIMDBitwise bool    `json:"simd_bitwise"`
-	FMARelErr   float64 `json:"fma_rel_err,omitempty"`
 }
 
 // denseReport is the Rows payload of the DENSE entry in the -json report.
@@ -89,10 +87,9 @@ func runDenseBench(out io.Writer, gomaxprocs int, quick bool) denseReport {
 		minSpan = 50 * time.Millisecond
 	}
 	tuned := dense.Tuning{Threads: gomaxprocs}
-	goT, sT, fT := tuned, tuned, tuned
-	goT.Kernels, sT.Kernels, fT.Kernels = cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA
+	goT, sT := tuned, tuned
+	goT.Kernels, sT.Kernels = cpu.KernelGo, cpu.KernelSIMD
 	hasSIMD := cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD
-	hasFMA := cpu.Resolve(cpu.KernelFMA) == cpu.KernelFMA
 
 	rep := denseReport{
 		GOMAXPROCS:  gomaxprocs,
@@ -156,16 +153,6 @@ func runDenseBench(out io.Writer, gomaxprocs int, quick bool) denseReport {
 						cell.SIMDSpeedup = cell.GoSeconds / cell.SIMDSeconds
 					}
 				}
-				if hasFMA {
-					fOut, fOutR := flavor(fT)
-					cell.FMARelErr = benchMaxRelErr(goOut, fOut)
-					if fOutR != nil {
-						if e := benchMaxRelErr(goOutR, fOutR); e > cell.FMARelErr {
-							cell.FMARelErr = e
-						}
-					}
-					cell.FMASeconds = timeProduct(func() { flavor(fT) }, minSpan)
-				}
 				rep.Cells = append(rep.Cells, cell)
 				fmt.Fprintf(out, "%-5s %6d %4d  %10.3fms %10.3fms %7.2fx %10.2e %10.3fms %10.3fms %6.2fx\n",
 					op, n, k, cell.LegacySeconds*1e3, cell.TunedSeconds*1e3,
@@ -178,7 +165,7 @@ func runDenseBench(out io.Writer, gomaxprocs int, quick bool) denseReport {
 	// Summary scalars the CI acceptance check and README point at.
 	allFMA, maxDiff := 1.0, 0.0
 	qrBest, qrMin := 0.0, 0.0
-	simdBitwise, fmaMaxRel := 1.0, 0.0
+	simdBitwise := 1.0
 	k16Best, panel8Best := 0.0, 0.0
 	gemmBest := map[string]float64{"mul": 0, "tmul": 0, "mult": 0}
 	for _, c := range rep.Cells {
@@ -190,9 +177,6 @@ func runDenseBench(out io.Writer, gomaxprocs int, quick bool) denseReport {
 		}
 		if !c.SIMDBitwise {
 			simdBitwise = 0
-		}
-		if c.FMARelErr > fmaMaxRel {
-			fmaMaxRel = c.FMARelErr
 		}
 		if c.K == 16 && c.SIMDSpeedup > k16Best {
 			k16Best = c.SIMDSpeedup
@@ -225,14 +209,13 @@ func runDenseBench(out io.Writer, gomaxprocs int, quick bool) denseReport {
 	rep.Summary["all_fma_match"] = allFMA
 	rep.Summary["max_abs_diff"] = maxDiff
 	rep.Summary["simd_bitwise"] = simdBitwise
-	rep.Summary["fma_max_rel_err"] = fmaMaxRel
 	rep.Summary["simd_speedup_k16_best"] = k16Best
 	rep.Summary["simd_speedup_panel8_best"] = panel8Best
 	fmt.Fprintf(out, "\nQR speedup: min %.2fx (k≥16), best %.2fx\n", qrMin, qrBest)
 	fmt.Fprintf(out, "GEMM best speedup: mul %.2fx, tmul %.2fx, mult %.2fx\n",
 		gemmBest["mul"], gemmBest["tmul"], gemmBest["mult"])
 	fmt.Fprintf(out, "fma counts match the shape formula: %v; max |diff|: %.2e\n", allFMA == 1, maxDiff)
-	fmt.Fprintf(out, "SIMD (%s, default %s): bitwise %v, k16 best %.2fx, panel8 best %.2fx, fma rel err %.2e\n",
-		rep.CPUFeatures, rep.Kernels, simdBitwise == 1, k16Best, panel8Best, fmaMaxRel)
+	fmt.Fprintf(out, "SIMD (%s, default %s): bitwise %v, k16 best %.2fx, panel8 best %.2fx\n",
+		rep.CPUFeatures, rep.Kernels, simdBitwise == 1, k16Best, panel8Best)
 	return rep
 }

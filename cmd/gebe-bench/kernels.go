@@ -44,10 +44,8 @@ type spmmCell struct {
 	// go_seconds / simd_seconds, the number the regress floor gates.
 	GoSeconds   float64 `json:"go_seconds,omitempty"`
 	SIMDSeconds float64 `json:"simd_seconds,omitempty"`
-	FMASeconds  float64 `json:"fma_seconds,omitempty"`
 	SIMDSpeedup float64 `json:"simd_speedup,omitempty"`
 	SIMDBitwise bool    `json:"simd_bitwise"`
-	FMARelErr   float64 `json:"fma_rel_err,omitempty"`
 }
 
 // spmmReport is the Rows payload of the SPMM entry in the -json report.
@@ -60,8 +58,7 @@ type spmmReport struct {
 }
 
 // benchBitsEqual reports whether two engine outputs are bitwise
-// identical — the contract the non-fused SIMD flavor makes with the Go
-// kernels.
+// identical — the contract the SIMD flavor makes with the Go kernels.
 func benchBitsEqual(a, b *dense.Matrix) bool {
 	for i := range a.Data {
 		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
@@ -69,23 +66,6 @@ func benchBitsEqual(a, b *dense.Matrix) bool {
 		}
 	}
 	return true
-}
-
-// benchMaxRelErr is the worst elementwise deviation of got from want,
-// relative for magnitudes above 1 — the tolerance the fused flavor is
-// gated on.
-func benchMaxRelErr(want, got *dense.Matrix) float64 {
-	worst := 0.0
-	for i := range want.Data {
-		d := math.Abs(want.Data[i] - got.Data[i])
-		if s := math.Abs(want.Data[i]); s > 1 {
-			d /= s
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 type spmmShape struct {
@@ -161,7 +141,6 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 	threadSet := []int{1, 4}
 	const minSpan = 200 * time.Millisecond
 	hasSIMD := cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD
-	hasFMA := cpu.Resolve(cpu.KernelFMA) == cpu.KernelFMA
 
 	rep := spmmReport{
 		GOMAXPROCS:  gomaxprocs,
@@ -180,8 +159,8 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 			for _, op := range []string{"mul", "tmul"} {
 				for _, th := range threadSet {
 					tuned := sparse.Tuning{Threads: th}
-					goT, sT, fT := tuned, tuned, tuned
-					goT.Kernels, sT.Kernels, fT.Kernels = cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA
+					goT, sT := tuned, tuned
+					goT.Kernels, sT.Kernels = cpu.KernelGo, cpu.KernelSIMD
 					var runLegacy, runTuned func()
 					var ref, got *dense.Matrix
 					var flavor func(sparse.Tuning) *dense.Matrix
@@ -217,10 +196,6 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 							cell.SIMDSpeedup = cell.GoSeconds / cell.SIMDSeconds
 						}
 					}
-					if hasFMA {
-						cell.FMARelErr = benchMaxRelErr(goOut, flavor(fT))
-						cell.FMASeconds = timeProduct(func() { flavor(fT) }, minSpan)
-					}
 					rep.Cells = append(rep.Cells, cell)
 					fmt.Fprintf(out, "%-14s %-5s %3d %3d  %10.3fms %10.3fms %7.2fx %10.2e %10.3fms %10.3fms %6.2fx\n",
 						s.name, op, k, th,
@@ -235,7 +210,7 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 	// Summary scalars the CI acceptance check and README point at.
 	allFMA, maxDiff := 1.0, 0.0
 	tmulSkewedMin, mulBest := 0.0, 0.0
-	simdBitwise, fmaMaxRel := 1.0, 0.0
+	simdBitwise := 1.0
 	k16Best, panel8Best := 0.0, 0.0
 	for _, c := range rep.Cells {
 		if !c.FMAMatch {
@@ -246,9 +221,6 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 		}
 		if !c.SIMDBitwise {
 			simdBitwise = 0
-		}
-		if c.FMARelErr > fmaMaxRel {
-			fmaMaxRel = c.FMARelErr
 		}
 		if c.K == 16 && c.SIMDSpeedup > k16Best {
 			k16Best = c.SIMDSpeedup
@@ -272,13 +244,12 @@ func runKernelBench(out io.Writer, gomaxprocs int) spmmReport {
 	rep.Summary["all_fma_match"] = allFMA
 	rep.Summary["max_abs_diff"] = maxDiff
 	rep.Summary["simd_bitwise"] = simdBitwise
-	rep.Summary["fma_max_rel_err"] = fmaMaxRel
 	rep.Summary["simd_speedup_k16_best"] = k16Best
 	rep.Summary["simd_speedup_panel8_best"] = panel8Best
 	fmt.Fprintf(out, "\nTMulDense skewed-wide speedup (min, 4 threads): %.2fx\n", tmulSkewedMin)
 	fmt.Fprintf(out, "MulDense best speedup: %.2fx; fma counts match nnz·k: %v; max |diff|: %.2e\n",
 		mulBest, allFMA == 1, maxDiff)
-	fmt.Fprintf(out, "SIMD (%s, default %s): bitwise %v, k16 best %.2fx, panel8 best %.2fx, fma rel err %.2e\n",
-		rep.CPUFeatures, rep.Kernels, simdBitwise == 1, k16Best, panel8Best, fmaMaxRel)
+	fmt.Fprintf(out, "SIMD (%s, default %s): bitwise %v, k16 best %.2fx, panel8 best %.2fx\n",
+		rep.CPUFeatures, rep.Kernels, simdBitwise == 1, k16Best, panel8Best)
 	return rep
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"gebe/internal/cpu"
 	"gebe/internal/dense"
 	"gebe/internal/par"
 )
@@ -206,11 +205,10 @@ func rootUp(s, eps float64) float64 {
 // run writes each item's nearest centroid (squared Euclidean, ties
 // toward the smaller cluster id) into assign. The distance argmin
 // reduces to argmin_c ‖c‖² − 2·x·c. The cross terms are X_tile · Cᵀ on
-// the dense engine's panel kernels, pinned to the non-fused SIMD
-// flavor: each one is then a single ascending-order sum from zero,
-// bitwise what dense.Dot computes, whatever GEBE_SIMD says and wherever
-// the row sits in the tile (DESIGN.md §4, IVF build). The padding
-// columns come out zero and are never read.
+// the dense engine's panel kernels: each one is a single ascending-order
+// sum from zero, bitwise what dense.Dot computes, under either kernel
+// flavor and wherever the row sits in the tile (DESIGN.md §4, IVF
+// build). The padding columns come out zero and are never read.
 //
 // The first pass measures every row and sets its bounds. A later pass
 // first moves them by the centroids' drift since the pass before, and
@@ -326,7 +324,7 @@ func (as *assigner) measure(ap *assignPart, n int, assign []int32) {
 	ap.t = dense.Matrix{Rows: n, Cols: stride, Data: ap.tile[:n*stride]}
 	// Threads 0 keeps the product sequential: the pool parts are the
 	// only parallelism here, mirroring eval.Scorer.
-	dense.MulInto(&ap.t, &ap.x, as.ct, dense.Tuning{Kernels: cpu.KernelSIMD})
+	dense.MulInto(&ap.t, &ap.x, as.ct, dense.Tuning{})
 	for r := 0; r < n; r++ {
 		trow := ap.t.Data[r*stride:][:len(cn)]
 		best, bestD, second := 0, cn[0]-2*trow[0], math.Inf(1)

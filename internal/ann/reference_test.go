@@ -12,9 +12,10 @@ import (
 // parallel seeding, kept as the oracle Build must match bit for bit:
 // single-threaded k-means++ that measures every point against every new
 // centroid, and an assignment whose cross terms come from dense.MulTInto
-// (A·Bᵀ, four dot products per pass). Its flavor is pinned to the
-// non-fused SIMD kernels, the default, so the oracle is one index under
-// every GEBE_SIMD.
+// (A·Bᵀ, four dot products per pass). Its flavor is pinned to the SIMD
+// kernels, the default, so the oracle is one index under every
+// GEBE_SIMD, and under GEBE_SIMD=off Build (on the Go kernels) is
+// checked against it across flavors.
 
 // referenceKmeans returns the centroids, assignment and iteration count
 // of the reference build for (items, cfg); cfg must already carry its

@@ -5,24 +5,28 @@
 //
 // Three layers compose:
 //
-//   - Supported() reports what the hardware can do: AVX2/FMA via CPUID
-//     (including the XGETBV check that the OS saves ymm state) on amd64,
-//     NEON on arm64 (ASIMD is mandatory there). Under the purego build
-//     tag, or on any other architecture, it reports nothing.
+//   - Supported() reports what the hardware can do: AVX2 (and FMA, as a
+//     reported fact only) via CPUID, including the XGETBV check that the
+//     OS saves ymm state, on amd64; NEON on arm64 (ASIMD is mandatory
+//     there). Under the purego build tag, or on any other architecture,
+//     it reports nothing.
 //   - The GEBE_SIMD environment variable overrides the *default* flavor
-//     ("off"/"go" forces scalar Go kernels, "simd" the non-fused vector
-//     kernels, "fma" the fused ones); it never changes what Supported()
+//     ("off"/"go"/"scalar" force the scalar Go kernels; any other value
+//     keeps the vector kernels); it never changes what Supported()
 //     reports, so tests can still opt back in per call through Tuning.
 //   - Resolve maps a Tuning's KernelMode to the flavor that will really
-//     run, falling back (fma → simd → go) when the hardware or build
-//     lacks a level.
+//     run, falling back to KernelGo when the hardware or build lacks
+//     the vector kernels.
 //
-// The contract the flavors keep: KernelGo and KernelSIMD are bitwise
-// identical (the vector kernels replay the scalar accumulation order,
-// non-fused on amd64; on arm64 the Go compiler already fuses, so the
-// NEON kernels fuse too and KernelFMA is the same code). KernelFMA on
-// amd64 contracts each multiply-add into one rounding and is gated by a
-// relative-error tolerance instead.
+// The contract the two flavors keep: KernelGo and KernelSIMD are
+// bitwise identical up to NaN payloads. The vector kernels replay the
+// scalar accumulation order, non-fused on amd64 (on arm64 the Go
+// compiler already fuses, so the NEON kernels fuse too). But Go's
+// scalar acc += a*b adds with the product as the first operand, while
+// the AVX2 gathers add with the accumulator first, so two different
+// NaNs meeting in one sum come out as different NaNs (every non-NaN
+// result is the same). TestHopMatchesTwoGathers (internal/sparse) is
+// the test that compares the flavors modulo NaN payload.
 package cpu
 
 import (
@@ -37,8 +41,8 @@ type Features struct {
 	// AVX2 means 256-bit vector float kernels are usable (implies AVX
 	// and OS ymm-state support). amd64 only.
 	AVX2 bool `json:"avx2,omitempty"`
-	// FMA means the fused multiply-add variants are usable. amd64 only
-	// (on arm64 fusing is the baseline, reported via NEON).
+	// FMA means the CPU has fused multiply-add (FMA3). amd64 only; it
+	// is reported in run metadata and selects no kernel.
 	FMA bool `json:"fma,omitempty"`
 	// NEON means 128-bit ASIMD kernels are usable. arm64 only.
 	NEON bool `json:"neon,omitempty"`
@@ -56,13 +60,9 @@ func Supported() Features {
 	return detected
 }
 
-// HasSIMD reports whether the non-fused vector flavor exists on this
-// hardware and build.
+// HasSIMD reports whether the vector flavor exists on this hardware and
+// build.
 func (f Features) HasSIMD() bool { return f.AVX2 || f.NEON }
-
-// HasFMA reports whether the fused flavor exists. On arm64 NEON implies
-// it (FMLA is the baseline there).
-func (f Features) HasFMA() bool { return (f.AVX2 && f.FMA) || f.NEON }
 
 // Summary renders the feature set the way run metadata records it:
 // "avx2,fma", "avx2", "neon", or "none".
@@ -95,14 +95,10 @@ const (
 	// KernelGo forces the retained scalar Go kernels — the correctness
 	// oracle, and the only flavor under the purego build tag.
 	KernelGo
-	// KernelSIMD forces the non-fused vector kernels; falls back to
-	// KernelGo where unsupported. Bitwise identical to KernelGo.
+	// KernelSIMD forces the vector kernels; falls back to KernelGo
+	// where unsupported. Bitwise identical to KernelGo up to NaN
+	// payloads.
 	KernelSIMD
-	// KernelFMA opts into the fused vector kernels; falls back to
-	// KernelSIMD, then KernelGo. On amd64 results differ from the
-	// scalar path by one rounding per multiply-add (tolerance-gated);
-	// on arm64 it is the same code as KernelSIMD.
-	KernelFMA
 )
 
 // String names the mode as it appears in metrics and run metadata.
@@ -114,8 +110,6 @@ func (m KernelMode) String() string {
 		return "go"
 	case KernelSIMD:
 		return "simd"
-	case KernelFMA:
-		return "fma"
 	default:
 		return fmt.Sprintf("KernelMode(%d)", int(m))
 	}
@@ -123,7 +117,7 @@ func (m KernelMode) String() string {
 
 // Valid reports whether m is one of the defined modes.
 func (m KernelMode) Valid() bool {
-	return m >= KernelAuto && m <= KernelFMA
+	return m >= KernelAuto && m <= KernelSIMD
 }
 
 var (
@@ -132,15 +126,13 @@ var (
 )
 
 // envDefault maps GEBE_SIMD to the mode KernelAuto resolves toward.
-// Unknown values behave like "auto" rather than failing: a typo in an
-// env var must not change numerical behavior, and auto is the safe
-// (bitwise-identical) choice.
+// Unknown values (a stale "fma" among them) behave like "auto" rather
+// than failing: a typo in an env var must not change numerical
+// behavior, and auto is the safe (bitwise-identical) choice.
 func envDefault(val string) KernelMode {
 	switch strings.ToLower(strings.TrimSpace(val)) {
 	case "off", "go", "scalar":
 		return KernelGo
-	case "fma":
-		return KernelFMA
 	default: // "", "auto", "on", "simd", anything else
 		return KernelSIMD
 	}
@@ -157,11 +149,7 @@ func Default() KernelMode {
 
 // clamp lowers a mode until the hardware supports it.
 func clamp(m KernelMode) KernelMode {
-	f := Supported()
-	if m == KernelFMA && !f.HasFMA() {
-		m = KernelSIMD
-	}
-	if m == KernelSIMD && !f.HasSIMD() {
+	if m == KernelSIMD && !Supported().HasSIMD() {
 		m = KernelGo
 	}
 	return m

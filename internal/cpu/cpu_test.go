@@ -9,8 +9,8 @@ func TestEnvDefault(t *testing.T) {
 		"scalar": KernelGo,
 		"OFF":    KernelGo,
 		" go ":   KernelGo,
-		"fma":    KernelFMA,
-		"FMA":    KernelFMA,
+		"fma":    KernelSIMD, // no such flavor: an unknown value
+		"FMA":    KernelSIMD,
 		"":       KernelSIMD,
 		"auto":   KernelSIMD,
 		"on":     KernelSIMD,
@@ -35,14 +35,6 @@ func TestResolveClamping(t *testing.T) {
 	case !f.HasSIMD() && got != KernelGo:
 		t.Errorf("Resolve(simd) = %v without SIMD, want go", got)
 	}
-	switch got := Resolve(KernelFMA); {
-	case f.HasFMA() && got != KernelFMA:
-		t.Errorf("Resolve(fma) = %v on FMA hardware, want fma", got)
-	case !f.HasFMA() && f.HasSIMD() && got != KernelSIMD:
-		t.Errorf("Resolve(fma) = %v with SIMD-only hardware, want simd", got)
-	case !f.HasSIMD() && got != KernelGo:
-		t.Errorf("Resolve(fma) = %v without SIMD, want go", got)
-	}
 	// Auto resolves to a concrete flavor, never back to Auto.
 	if got := Resolve(KernelAuto); got == KernelAuto {
 		t.Error("Resolve(auto) did not resolve to a concrete mode")
@@ -51,7 +43,7 @@ func TestResolveClamping(t *testing.T) {
 
 func TestKernelModeStringsAndValidity(t *testing.T) {
 	names := map[KernelMode]string{
-		KernelAuto: "auto", KernelGo: "go", KernelSIMD: "simd", KernelFMA: "fma",
+		KernelAuto: "auto", KernelGo: "go", KernelSIMD: "simd",
 	}
 	for m, want := range names {
 		if m.String() != want {
@@ -61,7 +53,7 @@ func TestKernelModeStringsAndValidity(t *testing.T) {
 			t.Errorf("%v unexpectedly invalid", m)
 		}
 	}
-	if KernelMode(99).Valid() || KernelMode(-1).Valid() {
+	if KernelMode(3).Valid() || KernelMode(99).Valid() || KernelMode(-1).Valid() {
 		t.Error("out-of-range modes reported valid")
 	}
 }
@@ -84,10 +76,10 @@ func TestFeaturesSummary(t *testing.T) {
 }
 
 func TestSupportedMatchesBuild(t *testing.T) {
-	// Whatever detection found, the flavor predicates must be coherent.
+	// Whatever detection found, the feature set must be coherent.
 	f := Supported()
-	if f.HasFMA() && !f.HasSIMD() {
-		t.Errorf("HasFMA without HasSIMD: %+v", f)
+	if f.FMA && !f.AVX2 {
+		t.Errorf("FMA reported without AVX2: %+v", f)
 	}
 	if f.AVX2 && f.NEON {
 		t.Errorf("impossible feature combination: %+v", f)

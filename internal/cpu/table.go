@@ -62,14 +62,12 @@ type entry[K any] struct {
 }
 
 // Table maps (width, flavor) to a kernel. The Go flavor is complete by
-// construction (set at package init of the owning engine); the SIMD and
-// FMA flavors are sparse — widths without a vector kernel fall back to
-// the Go entry, and FMA falls back to SIMD before Go, mirroring
-// Resolve's hardware fallback.
+// construction (set at package init of the owning engine); the SIMD
+// flavor is sparse — widths without a vector kernel fall back to the Go
+// entry, mirroring Resolve's hardware fallback.
 type Table[K any] struct {
 	goFl   [numWidths]entry[K]
 	simdFl [numWidths]entry[K]
-	fmaFl  [numWidths]entry[K]
 }
 
 // NewTable builds a table whose every width starts at the generic Go
@@ -87,36 +85,21 @@ func (t *Table[K]) SetGo(w Width, fn K, name string) {
 	t.goFl[w] = entry[K]{fn: fn, name: name, ok: true}
 }
 
-// Register installs a vector kernel for a width class under the given
-// flavor (KernelSIMD or KernelFMA; anything else is ignored). The name
-// should carry the instruction-set suffix ("k16+avx2") so metrics and
-// bench output attribute timings to the code that ran.
-func (t *Table[K]) Register(w Width, mode KernelMode, fn K, name string) {
-	e := entry[K]{fn: fn, name: name, ok: true}
-	switch mode {
-	case KernelSIMD:
-		t.simdFl[w] = e
-	case KernelFMA:
-		t.fmaFl[w] = e
-	}
+// Register installs the vector (KernelSIMD) kernel for a width class.
+// The name should carry the instruction-set suffix ("k16+avx2") so
+// metrics and bench output attribute timings to the code that ran.
+func (t *Table[K]) Register(w Width, fn K, name string) {
+	t.simdFl[w] = entry[K]{fn: fn, name: name, ok: true}
 }
 
 // Pick returns the kernel and its reporting name for a k-column block
 // under the resolved mode.
 func (t *Table[K]) Pick(k int, mode KernelMode) (K, string) {
 	w := WidthOf(k)
-	switch Resolve(mode) {
-	case KernelFMA:
-		if e := t.fmaFl[w]; e.ok {
-			return e.fn, e.name
-		}
-		fallthrough
-	case KernelSIMD:
-		if e := t.simdFl[w]; e.ok {
-			return e.fn, e.name
-		}
-	}
 	e := t.goFl[w]
+	if s := t.simdFl[w]; s.ok && Resolve(mode) == KernelSIMD {
+		e = s
+	}
 	return e.fn, e.name
 }
 
@@ -124,7 +107,7 @@ func (t *Table[K]) Pick(k int, mode KernelMode) (K, string) {
 // a single blocked kernel by shape thresholds rather than by width
 // class (the dense A·Bᵀ dot4 and Aᵀ·B 2×4-tile kernels).
 type Variants[K any] struct {
-	goFl, simdFl, fmaFl entry[K]
+	goFl, simdFl entry[K]
 }
 
 // NewVariants builds a variant set around the scalar Go kernel.
@@ -132,30 +115,17 @@ func NewVariants[K any](fn K, name string) *Variants[K] {
 	return &Variants[K]{goFl: entry[K]{fn: fn, name: name, ok: true}}
 }
 
-// Register installs a vector variant, as in Table.Register.
-func (v *Variants[K]) Register(mode KernelMode, fn K, name string) {
-	e := entry[K]{fn: fn, name: name, ok: true}
-	switch mode {
-	case KernelSIMD:
-		v.simdFl = e
-	case KernelFMA:
-		v.fmaFl = e
-	}
+// Register installs the vector variant, as in Table.Register.
+func (v *Variants[K]) Register(fn K, name string) {
+	v.simdFl = entry[K]{fn: fn, name: name, ok: true}
 }
 
 // Pick returns the variant for the resolved mode, with the same
-// fma → simd → go fallback as Table.Pick.
+// simd → go fallback as Table.Pick.
 func (v *Variants[K]) Pick(mode KernelMode) (K, string) {
-	switch Resolve(mode) {
-	case KernelFMA:
-		if v.fmaFl.ok {
-			return v.fmaFl.fn, v.fmaFl.name
-		}
-		fallthrough
-	case KernelSIMD:
-		if v.simdFl.ok {
-			return v.simdFl.fn, v.simdFl.name
-		}
+	e := v.goFl
+	if v.simdFl.ok && Resolve(mode) == KernelSIMD {
+		e = v.simdFl
 	}
-	return v.goFl.fn, v.goFl.name
+	return e.fn, e.name
 }

@@ -35,9 +35,8 @@ func stub(name string) kernelStub { return func() string { return name } }
 func TestTableFallbackChain(t *testing.T) {
 	tb := NewTable[kernelStub](stub("generic"), "generic")
 	tb.SetGo(WidthK16, stub("k16"), "k16")
-	tb.Register(WidthK16, KernelSIMD, stub("k16+v"), "k16+v")
-	tb.Register(WidthK16, KernelFMA, stub("k16+f"), "k16+f")
-	tb.Register(WidthK8, KernelSIMD, stub("k8+v"), "k8+v")
+	tb.Register(WidthK16, stub("k16+v"), "k16+v")
+	tb.Register(WidthK8, stub("k8+v"), "k8+v")
 
 	// Pick resolves through the hardware, so exercise the slots directly
 	// with modes the machine is guaranteed to support.
@@ -58,15 +57,6 @@ func TestTableFallbackChain(t *testing.T) {
 	if _, name := tb.Pick(4, KernelSIMD); name != "generic" {
 		t.Errorf("Pick(4, simd) = %q, want generic fallback", name)
 	}
-	if Supported().HasFMA() {
-		if _, name := tb.Pick(16, KernelFMA); name != "k16+f" {
-			t.Errorf("Pick(16, fma) = %q, want k16+f", name)
-		}
-		// FMA falls back to the SIMD slot before Go.
-		if _, name := tb.Pick(8, KernelFMA); name != "k8+v" {
-			t.Errorf("Pick(8, fma) = %q, want k8+v fallback", name)
-		}
-	}
 }
 
 func TestVariantsFallbackChain(t *testing.T) {
@@ -78,20 +68,11 @@ func TestVariantsFallbackChain(t *testing.T) {
 	if _, name := v.Pick(KernelSIMD); name != "go" {
 		t.Errorf("unregistered Pick(simd) = %q, want go", name)
 	}
-	v.Register(KernelSIMD, stub("v"), "v")
+	v.Register(stub("v"), "v")
 	if !Supported().HasSIMD() {
 		t.Skip("no SIMD on this CPU; flavor slots unreachable through Pick")
 	}
 	if _, name := v.Pick(KernelSIMD); name != "v" {
 		t.Errorf("Pick(simd) = %q, want v", name)
-	}
-	if Supported().HasFMA() {
-		if _, name := v.Pick(KernelFMA); name != "v" {
-			t.Errorf("Pick(fma) = %q, want v (simd fallback)", name)
-		}
-		v.Register(KernelFMA, stub("f"), "f")
-		if _, name := v.Pick(KernelFMA); name != "f" {
-			t.Errorf("Pick(fma) = %q, want f", name)
-		}
 	}
 }

@@ -19,20 +19,19 @@ func newTestRegistry(t *testing.T) *obs.Registry {
 }
 
 // The engine's contract: every product agrees with the reference loops
-// in reference.go. The Go and non-fused SIMD GEMM kernels are bitwise
-// identical by construction (same per-element accumulation order), and
-// no parallel schedule splits a reduction, so every run compares with
-// tol 0. The tests pin the SIMD flavor, since the bitwise contract does
-// not hold for the fused one GEBE_SIMD=fma would otherwise select.
-// (QR's contract is error bounds; see qr_engine_test.go.)
+// in reference.go. The Go and SIMD GEMM kernels are bitwise identical
+// by construction (same per-element accumulation order), and no
+// parallel schedule splits a reduction, so every run compares with
+// tol 0. The tests pin the SIMD flavor, so the assembly runs even under
+// GEBE_SIMD=off. (QR's contract is error bounds; see qr_engine_test.go.)
 
 func engineRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xbeef))
 }
 
 // forceParallel drops the flop gate so even tiny matrices exercise the
-// partitioned paths, on the non-fused SIMD kernels (the Go ones where
-// the CPU has none).
+// partitioned paths, on the SIMD kernels (the Go ones where the CPU has
+// none).
 func forceParallel(threads int) Tuning {
 	return Tuning{Threads: threads, MinParallelFlops: 1, Kernels: cpu.KernelSIMD}
 }
@@ -103,13 +102,12 @@ func TestTMulMatchesLegacy(t *testing.T) {
 }
 
 // TestTMulBitwiseAcrossThreads: the parallel Aᵀ·B hands each worker a
-// band of whole 2-row output tiles, so every flavor — the fused one
-// included — returns the serial result bit for bit at any thread count,
-// on odd and even k₁ and on tall inputs past the vector kernels' chunk
-// length.
+// band of whole 2-row output tiles, so every flavor returns the serial
+// result bit for bit at any thread count, on odd and even k₁ and on
+// tall inputs past the vector kernels' chunk length.
 func TestTMulBitwiseAcrossThreads(t *testing.T) {
 	rng := engineRand(5)
-	for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA} {
+	for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD} {
 		for _, k1 := range []int{2, 5, 8, 33} {
 			for _, k2 := range []int{3, 4, 16} {
 				a := Random(301, k1, rng)

@@ -35,7 +35,7 @@ type mulKernel func(ad, bd, od []float64, inner, k, lo, hi int)
 
 // The dispatch tables. Scalar Go kernels are installed here; the vector
 // flavors register from kernels_simd.go when the CPU supports them, and
-// Pick applies the shared width classification plus fma → simd → go
+// Pick applies the shared width classification plus simd → go
 // fallback from internal/cpu. MulT and TMul pick by shape threshold
 // rather than width class, so they use the width-free Variants form.
 var (

@@ -25,7 +25,7 @@ type Tuning struct {
 	// count (rows·inner·cols for a product, ~n²(m−n/3) for QR);
 	// 0 selects DefaultMinParallelFlops.
 	MinParallelFlops int
-	// Kernels picks the kernel flavor (Go scalar, SIMD, or fused SIMD).
+	// Kernels picks the kernel flavor (Go scalar or SIMD).
 	// The zero value KernelAuto follows GEBE_SIMD and hardware support;
 	// explicit requests are clamped to what the CPU can run.
 	Kernels cpu.KernelMode

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gebe/internal/cpu"
 	"gebe/internal/dense"
 	"gebe/internal/obs"
 )
@@ -16,14 +15,6 @@ import (
 // per user, which is where scoring time goes when the item side is
 // large.
 const TileUsers = 16
-
-// tileTuning is the one score rule of every serving and evaluation
-// path: a sequential product (callers supply the parallelism: eval
-// workers, concurrent serve requests) on the non-fused kernel flavor,
-// whatever GEBE_SIMD selects. Each score is then one ascending-order
-// dot product, bitwise dense.Dot, which is what lets the ANN probe and
-// the pruned selector's rescoring reproduce the tile exactly.
-var tileTuning = dense.Tuning{Kernels: cpu.KernelSIMD}
 
 // Scorer is the tiled GEMM scoring core shared by the top-N evaluation
 // protocol and the serving layer: it streams full score rows
@@ -113,7 +104,12 @@ func (s *Scorer) score(tr *obs.Trace, users []int, checkpoint func() error, emit
 		}
 		sp := tr.StartSpan("score.tile")
 		t0 := time.Now()
-		dense.MulTInto(st, ub, s.v, tileTuning)
+		// The zero Tuning is the one score rule of every serving and
+		// evaluation path: a sequential product (callers supply the
+		// parallelism) whose every score is one ascending-order dot
+		// product, bitwise dense.Dot, which is what lets the ANN probe
+		// and the pruned selector's rescoring reproduce the tile exactly.
+		dense.MulTInto(st, ub, s.v, dense.Tuning{})
 		sp.Set("users", len(batch)).Set("items", s.v.Rows).End()
 		if m != nil {
 			m.tileSeconds.ObserveSince(t0)

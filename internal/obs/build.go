@@ -32,7 +32,7 @@ type Build struct {
 	// ("avx2,fma", "neon", or "none" — always "none" under -tags purego).
 	CPUFeatures string `json:"cpu_features"`
 	// Kernels is the kernel flavor the engines resolve by default
-	// ("go", "simd", or "fma"), after GEBE_SIMD and hardware clamping.
+	// ("go" or "simd"), after GEBE_SIMD and hardware clamping.
 	Kernels string `json:"kernels"`
 }
 

@@ -1,7 +1,5 @@
 package simd
 
-import "math"
-
 // Reference implementations of every primitive, written exactly like the
 // scalar engine kernels so the compiler applies the same multiply-add
 // treatment per architecture (separate MULSD+ADDSD on amd64, fused
@@ -82,61 +80,6 @@ func refTile2x4(a, b []float64, k1, k2, n int, acc *[8]float64) {
 		for c := 0; c < 4; c++ {
 			acc[c] += a0 * row[c]
 			acc[4+c] += a1 * row[c]
-		}
-	}
-}
-
-// Fused references: the same loops with each multiply-add contracted via
-// math.FMA. On arm64 these match the base references bit for bit.
-
-func refGatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out[i*k:][:k]
-		clear(orow)
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			v := val[p]
-			for j, bv := range b[idx[p]*k:][:k] {
-				orow[j] = math.FMA(v, bv, orow[j])
-			}
-		}
-	}
-}
-
-func refSaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64) {
-	for l, av := range a {
-		row := b[l*stride:]
-		for j := 0; j < 8; j++ {
-			acc[j] = math.FMA(av, row[j], acc[j])
-		}
-	}
-}
-
-func refSaxpyRows16FMA(a []float64, b []float64, stride int, acc *[16]float64) {
-	for l, av := range a {
-		row := b[l*stride:]
-		for j := 0; j < 16; j++ {
-			acc[j] = math.FMA(av, row[j], acc[j])
-		}
-	}
-}
-
-func refDotCols4FMA(a []float64, b []float64, stride int, out *[4]float64) {
-	var s [4]float64
-	for l, av := range a {
-		for j := 0; j < 4; j++ {
-			s[j] = math.FMA(av, b[j*stride+l], s[j])
-		}
-	}
-	*out = s
-}
-
-func refTile2x4FMA(a, b []float64, k1, k2, n int, acc *[8]float64) {
-	for l := 0; l < n; l++ {
-		a0, a1 := a[l*k1], a[l*k1+1]
-		row := b[l*k2:]
-		for c := 0; c < 4; c++ {
-			acc[c] = math.FMA(a0, row[c], acc[c])
-			acc[4+c] = math.FMA(a1, row[c], acc[4+c])
 		}
 	}
 }

@@ -4,11 +4,8 @@ package simd
 
 import "gebe/internal/cpu"
 
-// HasSIMD reports whether the non-fused AVX2 primitives are usable.
+// HasSIMD reports whether the AVX2 primitives are usable.
 func HasSIMD() bool { return cpu.Supported().AVX2 }
-
-// HasFMA reports whether the fused primitives are usable.
-func HasFMA() bool { return cpu.Supported().HasFMA() }
 
 // HasHop reports whether HopRows is the vector kernel (the Go reference
 // otherwise, on every other build).
@@ -16,9 +13,6 @@ func HasHop() bool { return HasSIMD() }
 
 // SIMDName is the instruction-set suffix kernel names carry ("k16+avx2").
 func SIMDName() string { return "avx2" }
-
-// FMAName is the suffix of the fused flavor ("k16+fma").
-func FMAName() string { return "fma" }
 
 // GatherRows computes out[i·k+j] = Σ_p val[p]·b[idx[p]·k+j] for every
 // row i in [lo,hi) and j<k, p ascending over [rowPtr[i], rowPtr[i+1]) —
@@ -40,8 +34,7 @@ func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
 //     ascending, non-fused.
 //
 // next is not cleared here; it must not overlap t, and dst must overlap
-// neither. k must be a positive multiple of 8. There is no fused twin:
-// the FMA flavor runs its two gathers instead.
+// neither. k must be a positive multiple of 8.
 //
 //go:noescape
 func HopRows(rowPtr, idx []int, val, t, dst, next []float64, w float64, k, lo, hi int)
@@ -69,21 +62,3 @@ func DotCols4(a []float64, b []float64, stride int, out *[4]float64)
 //
 //go:noescape
 func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64)
-
-// The *FMA twins run the same loops with each multiply-add contracted
-// into a single rounding (VFMADD231PD).
-//
-//go:noescape
-func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
-
-//go:noescape
-func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)
-
-//go:noescape
-func SaxpyRows16FMA(a []float64, b []float64, stride int, acc *[16]float64)
-
-//go:noescape
-func DotCols4FMA(a []float64, b []float64, stride int, out *[4]float64)
-
-//go:noescape
-func Tile2x4FMA(a, b []float64, k1, k2, n int, acc *[8]float64)

@@ -9,15 +9,14 @@
 //   R8  matrix base (b)                 AX  loop counter
 //   R9  stride in bytes                 R10 accumulator pointer
 //
-// The non-fused bodies pair VMULPD with VADDPD so every lane rounds
-// exactly like the scalar MULSD+ADDSD sequence the Go kernels compile
-// to; the *FMA bodies are the same loops with VFMADD231PD. In the
+// Every body pairs VMULPD with VADDPD so each lane rounds exactly like
+// the scalar MULSD+ADDSD sequence the Go kernels compile to. In the
 // per-row primitives accumulator state lives in Y0..Y3 for the whole
 // call and is loaded from / stored to *acc, so callers control seeding
 // (zeros for fresh rows, the current output for resumed tiles).
 
-// GatherRows / GatherRowsFMA: the whole row range of a CSR·dense
-// product in one call. Registers:
+// GatherRows: the whole row range of a CSR·dense product in one call.
+// Registers:
 //
 //   R11 rowPtr base      DI  idx base        SI  val base
 //   R8  b base           R9  row stride (k·8 bytes)
@@ -163,126 +162,6 @@ gatherrowss8:
 	ADDQ $64, R14
 	JMP  gatherrowspanel
 gatherrowsdone:
-	VZEROUPPER
-	RET
-
-// func GatherRowsFMA(rowPtr []int, idx []int, val []float64, b []float64, out []float64, k, lo, hi int)
-TEXT ·GatherRowsFMA(SB), NOSPLIT, $0-144
-	MOVQ rowPtr_base+0(FP), R11
-	MOVQ idx_base+24(FP), DI
-	MOVQ val_base+48(FP), SI
-	MOVQ b_base+72(FP), R8
-	MOVQ out_base+96(FP), R10
-	MOVQ k+120(FP), R9
-	MOVQ lo+128(FP), BX
-	MOVQ hi+136(FP), R12
-	SHLQ $3, R9
-	MOVQ BX, AX
-	IMULQ R9, AX
-	ADDQ AX, R10
-gatherrowsfmarow:
-	CMPQ BX, R12
-	JGE  gatherrowsfmadone
-	MOVQ (R11)(BX*8), R13
-	MOVQ 8(R11)(BX*8), CX
-	MOVQ R8, R14
-gatherrowsfmapanel:
-	MOVQ R8, DX
-	ADDQ R9, DX
-	SUBQ R14, DX
-	CMPQ DX, $256
-	JGE  gatherrowsfmap32
-	CMPQ DX, $128
-	JGE  gatherrowsfmap16
-	CMPQ DX, $64
-	JGE  gatherrowsfmap8
-	INCQ BX
-	JMP  gatherrowsfmarow
-gatherrowsfmap32:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ R13, AX
-gatherrowsfmal32:
-	CMPQ AX, CX
-	JGE  gatherrowsfmas32
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y8
-	VFMADD231PD (R14)(DX*1), Y8, Y0
-	VFMADD231PD 32(R14)(DX*1), Y8, Y1
-	VFMADD231PD 64(R14)(DX*1), Y8, Y2
-	VFMADD231PD 96(R14)(DX*1), Y8, Y3
-	VFMADD231PD 128(R14)(DX*1), Y8, Y4
-	VFMADD231PD 160(R14)(DX*1), Y8, Y5
-	VFMADD231PD 192(R14)(DX*1), Y8, Y6
-	VFMADD231PD 224(R14)(DX*1), Y8, Y7
-	INCQ AX
-	JMP  gatherrowsfmal32
-gatherrowsfmas32:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	VMOVUPD Y4, 128(R10)
-	VMOVUPD Y5, 160(R10)
-	VMOVUPD Y6, 192(R10)
-	VMOVUPD Y7, 224(R10)
-	ADDQ $256, R10
-	ADDQ $256, R14
-	JMP  gatherrowsfmapanel
-gatherrowsfmap16:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ R13, AX
-gatherrowsfmal16:
-	CMPQ AX, CX
-	JGE  gatherrowsfmas16
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y8
-	VFMADD231PD (R14)(DX*1), Y8, Y0
-	VFMADD231PD 32(R14)(DX*1), Y8, Y1
-	VFMADD231PD 64(R14)(DX*1), Y8, Y2
-	VFMADD231PD 96(R14)(DX*1), Y8, Y3
-	INCQ AX
-	JMP  gatherrowsfmal16
-gatherrowsfmas16:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	ADDQ $128, R10
-	ADDQ $128, R14
-	JMP  gatherrowsfmapanel
-gatherrowsfmap8:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	MOVQ R13, AX
-gatherrowsfmal8:
-	CMPQ AX, CX
-	JGE  gatherrowsfmas8
-	MOVQ (DI)(AX*8), DX
-	IMULQ R9, DX
-	VBROADCASTSD (SI)(AX*8), Y8
-	VFMADD231PD (R14)(DX*1), Y8, Y0
-	VFMADD231PD 32(R14)(DX*1), Y8, Y1
-	INCQ AX
-	JMP  gatherrowsfmal8
-gatherrowsfmas8:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	ADDQ $64, R10
-	ADDQ $64, R14
-	JMP  gatherrowsfmapanel
-gatherrowsfmadone:
 	VZEROUPPER
 	RET
 
@@ -528,32 +407,6 @@ r8done:
 	VZEROUPPER
 	RET
 
-// func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)
-TEXT ·SaxpyRows8FMA(SB), NOSPLIT, $0-64
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), R8
-	MOVQ stride+48(FP), R9
-	MOVQ acc+56(FP), R10
-	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	XORQ AX, AX
-r8floop:
-	CMPQ AX, CX
-	JGE  r8fdone
-	VBROADCASTSD (SI)(AX*8), Y2
-	VFMADD231PD (R8), Y2, Y0
-	VFMADD231PD 32(R8), Y2, Y1
-	ADDQ R9, R8
-	INCQ AX
-	JMP  r8floop
-r8fdone:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VZEROUPPER
-	RET
-
 // func SaxpyRows16(a []float64, b []float64, stride int, acc *[16]float64)
 TEXT ·SaxpyRows16(SB), NOSPLIT, $0-64
 	MOVQ a_base+0(FP), SI
@@ -583,38 +436,6 @@ r16loop:
 	INCQ AX
 	JMP  r16loop
 r16done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VMOVUPD Y2, 64(R10)
-	VMOVUPD Y3, 96(R10)
-	VZEROUPPER
-	RET
-
-// func SaxpyRows16FMA(a []float64, b []float64, stride int, acc *[16]float64)
-TEXT ·SaxpyRows16FMA(SB), NOSPLIT, $0-64
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), R8
-	MOVQ stride+48(FP), R9
-	MOVQ acc+56(FP), R10
-	SHLQ $3, R9
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	VMOVUPD 64(R10), Y2
-	VMOVUPD 96(R10), Y3
-	XORQ AX, AX
-r16floop:
-	CMPQ AX, CX
-	JGE  r16fdone
-	VBROADCASTSD (SI)(AX*8), Y4
-	VFMADD231PD (R8), Y4, Y0
-	VFMADD231PD 32(R8), Y4, Y1
-	VFMADD231PD 64(R8), Y4, Y2
-	VFMADD231PD 96(R8), Y4, Y3
-	ADDQ R9, R8
-	INCQ AX
-	JMP  r16floop
-r16fdone:
 	VMOVUPD Y0, (R10)
 	VMOVUPD Y1, 32(R10)
 	VMOVUPD Y2, 64(R10)
@@ -658,37 +479,6 @@ d4done:
 	VZEROUPPER
 	RET
 
-// func DotCols4FMA(a []float64, b []float64, stride int, out *[4]float64)
-TEXT ·DotCols4FMA(SB), NOSPLIT, $0-64
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), R8
-	MOVQ stride+48(FP), R9
-	MOVQ out+56(FP), R10
-	SHLQ $3, R9
-	LEAQ (R9)(R9*2), R11
-	VXORPD Y0, Y0, Y0
-	XORQ AX, AX
-d4floop:
-	CMPQ AX, CX
-	JGE  d4fdone
-	VMOVSD (R8), X2
-	VMOVSD (R8)(R9*1), X3
-	VUNPCKLPD X3, X2, X2
-	VMOVSD (R8)(R9*2), X4
-	VMOVSD (R8)(R11*1), X5
-	VUNPCKLPD X5, X4, X4
-	VINSERTF128 $1, X4, Y2, Y2
-	VBROADCASTSD (SI)(AX*8), Y3
-	VFMADD231PD Y2, Y3, Y0
-	ADDQ $8, R8
-	INCQ AX
-	JMP  d4floop
-d4fdone:
-	VMOVUPD Y0, (R10)
-	VZEROUPPER
-	RET
-
 // func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64)
 TEXT ·Tile2x4(SB), NOSPLIT, $0-80
 	MOVQ a_base+0(FP), SI
@@ -716,36 +506,6 @@ t24loop:
 	DECQ CX
 	JNZ  t24loop
 t24done:
-	VMOVUPD Y0, (R10)
-	VMOVUPD Y1, 32(R10)
-	VZEROUPPER
-	RET
-
-// func Tile2x4FMA(a, b []float64, k1, k2, n int, acc *[8]float64)
-TEXT ·Tile2x4FMA(SB), NOSPLIT, $0-80
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), R8
-	MOVQ k1+48(FP), R9
-	MOVQ k2+56(FP), R11
-	MOVQ n+64(FP), CX
-	MOVQ acc+72(FP), R10
-	SHLQ $3, R9
-	SHLQ $3, R11
-	VMOVUPD (R10), Y0
-	VMOVUPD 32(R10), Y1
-	TESTQ CX, CX
-	JLE  t24fdone
-t24floop:
-	VMOVUPD (R8), Y4
-	VBROADCASTSD (SI), Y2
-	VBROADCASTSD 8(SI), Y3
-	VFMADD231PD Y4, Y2, Y0
-	VFMADD231PD Y4, Y3, Y1
-	ADDQ R9, SI
-	ADDQ R11, R8
-	DECQ CX
-	JNZ  t24floop
-t24fdone:
 	VMOVUPD Y0, (R10)
 	VMOVUPD Y1, 32(R10)
 	VZEROUPPER

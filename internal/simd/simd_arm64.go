@@ -7,21 +7,12 @@ import "gebe/internal/cpu"
 // HasSIMD reports whether the NEON primitives are usable.
 func HasSIMD() bool { return cpu.Supported().NEON }
 
-// HasFMA reports whether the fused primitives are usable. NEON FMLA is
-// always fused, and the Go compiler fuses the scalar kernels on arm64
-// too, so the fused flavor is the baseline here.
-func HasFMA() bool { return cpu.Supported().NEON }
-
 // HasHop reports false: there is no NEON hop, so the engines run their
 // two gathers on arm64.
 func HasHop() bool { return false }
 
 // SIMDName is the instruction-set suffix kernel names carry ("k16+neon").
 func SIMDName() string { return "neon" }
-
-// FMAName matches SIMDName: on arm64 the FMA flavor aliases the base
-// one, so both report the same suffix.
-func FMAName() string { return "neon" }
 
 // GatherRows computes out[i·k+j] = Σ_p val[p]·b[idx[p]·k+j] for every
 // row i in [lo,hi) and j<k, p ascending over [rowPtr[i], rowPtr[i+1]) —
@@ -45,11 +36,6 @@ func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 			copy(out[i*k+j0:][:8], acc[:])
 		}
 	}
-}
-
-// GatherRowsFMA is GatherRows: NEON FMLA is already fused.
-func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
-	GatherRows(rowPtr, idx, val, b, out, k, lo, hi)
 }
 
 // HopRows is the Go reference of the amd64 kernel (see HasHop).
@@ -91,18 +77,3 @@ func DotCols4(a []float64, b []float64, stride int, out *[4]float64)
 //
 //go:noescape
 func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64)
-
-// The *FMA names alias the base primitives (tail-jump thunks in the
-// assembly): FMLA is already fused, so there is no separate flavor.
-//
-//go:noescape
-func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64)
-
-//go:noescape
-func SaxpyRows16FMA(a []float64, b []float64, stride int, acc *[16]float64)
-
-//go:noescape
-func DotCols4FMA(a []float64, b []float64, stride int, out *[4]float64)
-
-//go:noescape
-func Tile2x4FMA(a, b []float64, k1, k2, n int, acc *[8]float64)

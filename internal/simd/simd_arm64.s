@@ -12,8 +12,7 @@
 //
 // Every multiply-add is a fused VFMLA: the Go compiler emits FMADDD for
 // the scalar kernels on arm64, so fused NEON lanes round identically to
-// the oracle and the base flavor is already the FMA flavor. The *FMA
-// symbols at the bottom are tail-jump aliases.
+// the oracle.
 
 // func gatherSaxpy8(val []float64, idx []int, b []float64, stride int, acc *[8]float64)
 TEXT ·gatherSaxpy8(SB), NOSPLIT, $0-88
@@ -214,17 +213,3 @@ t24loop:
 t24done:
 	VST1 [V0.D2, V1.D2, V2.D2, V3.D2], (R10)
 	RET
-
-// FMLA is already fused — the *FMA flavor aliases the base symbols.
-
-TEXT ·SaxpyRows8FMA(SB), NOSPLIT, $0-64
-	B ·SaxpyRows8(SB)
-
-TEXT ·SaxpyRows16FMA(SB), NOSPLIT, $0-64
-	B ·SaxpyRows16(SB)
-
-TEXT ·DotCols4FMA(SB), NOSPLIT, $0-64
-	B ·DotCols4(SB)
-
-TEXT ·Tile2x4FMA(SB), NOSPLIT, $0-80
-	B ·Tile2x4(SB)

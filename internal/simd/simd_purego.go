@@ -3,25 +3,19 @@
 package simd
 
 // The purego build (and architectures without assembly) gets the
-// reference implementations under the exported names. HasSIMD/HasFMA
-// report false, so nothing ever registers these with the dispatch
-// tables — they exist so engine wrapper code compiles identically on
-// every build.
+// reference implementations under the exported names. HasSIMD reports
+// false, so nothing ever registers these with the dispatch tables —
+// they exist so engine wrapper code compiles identically on every
+// build.
 
 // HasSIMD reports false: this build carries no vector kernels.
 func HasSIMD() bool { return false }
-
-// HasFMA reports false: this build carries no fused kernels.
-func HasFMA() bool { return false }
 
 // HasHop reports false: HopRows is the Go reference here.
 func HasHop() bool { return false }
 
 // SIMDName is the instruction-set suffix kernel names would carry.
 func SIMDName() string { return "purego" }
-
-// FMAName is the suffix of the fused flavor.
-func FMAName() string { return "purego" }
 
 func GatherRows(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
 	refGatherRows(rowPtr, idx, val, b, out, k, lo, hi)
@@ -45,24 +39,4 @@ func DotCols4(a []float64, b []float64, stride int, out *[4]float64) {
 
 func Tile2x4(a, b []float64, k1, k2, n int, acc *[8]float64) {
 	refTile2x4(a, b, k1, k2, n, acc)
-}
-
-func GatherRowsFMA(rowPtr, idx []int, val, b, out []float64, k, lo, hi int) {
-	refGatherRowsFMA(rowPtr, idx, val, b, out, k, lo, hi)
-}
-
-func SaxpyRows8FMA(a []float64, b []float64, stride int, acc *[8]float64) {
-	refSaxpyRows8FMA(a, b, stride, acc)
-}
-
-func SaxpyRows16FMA(a []float64, b []float64, stride int, acc *[16]float64) {
-	refSaxpyRows16FMA(a, b, stride, acc)
-}
-
-func DotCols4FMA(a []float64, b []float64, stride int, out *[4]float64) {
-	refDotCols4FMA(a, b, stride, out)
-}
-
-func Tile2x4FMA(a, b []float64, k1, k2, n int, acc *[8]float64) {
-	refTile2x4FMA(a, b, k1, k2, n, acc)
 }

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// The assembly contract is bitwise: every base primitive must reproduce
-// its reference implementation exactly (the references compile to the
-// same scalar multiply-add sequence as the engine kernels). The *FMA
-// twins must reproduce the math.FMA references exactly — on arm64 both
-// checks collapse into one because the flavors alias.
+// The assembly contract is bitwise: every primitive must reproduce its
+// reference implementation exactly (the references compile to the same
+// scalar multiply-add sequence as the engine kernels).
 
 func fill(r *rand.Rand, n int) []float64 {
 	s := make([]float64, n)
@@ -66,8 +64,8 @@ func randCSR(r *rand.Rand, rows, cols, nnz int) (rowPtr, idx []int, val []float6
 }
 
 // TestGatherRowsBitwise: over a whole row range and over a sub-range,
-// both flavors reproduce their references bit for bit, write every row
-// of the range (the output is NaN-prefilled) and touch no row outside it.
+// GatherRows reproduces its reference bit for bit, writes every row of
+// the range (the output is NaN-prefilled) and touches no row outside it.
 func TestGatherRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const rows, cols = 23, 50
@@ -76,33 +74,25 @@ func TestGatherRowsBitwise(t *testing.T) {
 		b := fill(r, cols*k)
 		for _, rg := range [][2]int{{0, rows}, {3, 17}, {5, 5}} {
 			lo, hi := rg[0], rg[1]
-			for _, fl := range []struct {
-				name     string
-				got, ref func(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)
-			}{
-				{"GatherRows", GatherRows, refGatherRows},
-				{"GatherRowsFMA", GatherRowsFMA, refGatherRowsFMA},
-			} {
-				got := make([]float64, rows*k)
-				want := make([]float64, rows*k)
-				for i := range got {
-					got[i], want[i] = math.NaN(), math.NaN()
+			got := make([]float64, rows*k)
+			want := make([]float64, rows*k)
+			for i := range got {
+				got[i], want[i] = math.NaN(), math.NaN()
+			}
+			GatherRows(rowPtr, idx, val, b, got, k, lo, hi)
+			refGatherRows(rowPtr, idx, val, b, want, k, lo, hi)
+			for i := range got {
+				row := i / k
+				inside := row >= lo && row < hi
+				if inside && math.IsNaN(got[i]) {
+					t.Fatalf("k=%d [%d,%d): row %d left unwritten", k, lo, hi, row)
 				}
-				fl.got(rowPtr, idx, val, b, got, k, lo, hi)
-				fl.ref(rowPtr, idx, val, b, want, k, lo, hi)
-				for i := range got {
-					row := i / k
-					inside := row >= lo && row < hi
-					if inside && math.IsNaN(got[i]) {
-						t.Fatalf("%s k=%d [%d,%d): row %d left unwritten", fl.name, k, lo, hi, row)
-					}
-					if !inside && !math.IsNaN(got[i]) {
-						t.Fatalf("%s k=%d [%d,%d): row %d outside the range written", fl.name, k, lo, hi, row)
-					}
+				if !inside && !math.IsNaN(got[i]) {
+					t.Fatalf("k=%d [%d,%d): row %d outside the range written", k, lo, hi, row)
 				}
-				if !sameBits(got, want) {
-					t.Fatalf("%s k=%d [%d,%d): differs from its reference", fl.name, k, lo, hi)
-				}
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("k=%d [%d,%d): differs from its reference", k, lo, hi)
 			}
 		}
 	}
@@ -171,11 +161,6 @@ func TestSaxpyRowsBitwise(t *testing.T) {
 				if !sameBits(got[:], want[:]) {
 					t.Fatalf("SaxpyRows8 stride=%d n=%d: %v != %v", stride, n, got, want)
 				}
-				SaxpyRows8FMA(a, b, stride, &got)
-				refSaxpyRows8FMA(a, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("SaxpyRows8FMA stride=%d n=%d: %v != %v", stride, n, got, want)
-				}
 			}
 			if stride >= 16 {
 				var got, want [16]float64
@@ -185,11 +170,6 @@ func TestSaxpyRowsBitwise(t *testing.T) {
 				refSaxpyRows16(a, b, stride, &want)
 				if !sameBits(got[:], want[:]) {
 					t.Fatalf("SaxpyRows16 stride=%d n=%d: %v != %v", stride, n, got, want)
-				}
-				SaxpyRows16FMA(a, b, stride, &got)
-				refSaxpyRows16FMA(a, b, stride, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("SaxpyRows16FMA stride=%d n=%d: %v != %v", stride, n, got, want)
 				}
 			}
 		}
@@ -211,11 +191,6 @@ func TestDotCols4Bitwise(t *testing.T) {
 		if !sameBits(got[:], want[:]) {
 			t.Fatalf("DotCols4 n=%d: %v != %v", n, got, want)
 		}
-		DotCols4FMA(a, b, stride, &got)
-		refDotCols4FMA(a, b, stride, &want)
-		if !sameBits(got[:], want[:]) {
-			t.Fatalf("DotCols4FMA n=%d: %v != %v", n, got, want)
-		}
 	}
 }
 
@@ -234,18 +209,13 @@ func TestTile2x4Bitwise(t *testing.T) {
 				if !sameBits(got[:], want[:]) {
 					t.Fatalf("Tile2x4 n=%d k1=%d k2=%d: %v != %v", n, k1, k2, got, want)
 				}
-				Tile2x4FMA(a, b, k1, k2, n, &got)
-				refTile2x4FMA(a, b, k1, k2, n, &want)
-				if !sameBits(got[:], want[:]) {
-					t.Fatalf("Tile2x4FMA n=%d k1=%d k2=%d: %v != %v", n, k1, k2, got, want)
-				}
 			}
 		}
 	}
 }
 
 // Benchmarks: ref vs asm for the widest shapes, to size the speedup the
-// engine-level flavors can deliver.
+// engine-level SIMD flavor can deliver.
 
 func benchGatherRows(b *testing.B, f func(rowPtr, idx []int, val, b, out []float64, k, lo, hi int)) {
 	r := rand.New(rand.NewSource(23))
@@ -261,7 +231,6 @@ func benchGatherRows(b *testing.B, f func(rowPtr, idx []int, val, b, out []float
 
 func BenchmarkGatherRowsRef(b *testing.B)  { benchGatherRows(b, refGatherRows) }
 func BenchmarkGatherRowsSIMD(b *testing.B) { benchGatherRows(b, GatherRows) }
-func BenchmarkGatherRowsFMA(b *testing.B)  { benchGatherRows(b, GatherRowsFMA) }
 
 func BenchmarkHopRowsRef(b *testing.B)  { benchHopRows(b, refHopRows) }
 func BenchmarkHopRowsSIMD(b *testing.B) { benchHopRows(b, HopRows) }
@@ -293,7 +262,6 @@ func benchRows16(b *testing.B, f func([]float64, []float64, int, *[16]float64)) 
 
 func BenchmarkRows16Ref(b *testing.B)  { benchRows16(b, refSaxpyRows16) }
 func BenchmarkRows16SIMD(b *testing.B) { benchRows16(b, SaxpyRows16) }
-func BenchmarkRows16FMA(b *testing.B)  { benchRows16(b, SaxpyRows16FMA) }
 
 func benchTile(b *testing.B, f func([]float64, []float64, int, int, int, *[8]float64)) {
 	r := rand.New(rand.NewSource(31))

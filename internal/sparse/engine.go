@@ -26,7 +26,7 @@ type Tuning struct {
 	// count: a short-and-wide matrix with millions of nonzeros (a Wᵀ
 	// block) parallelizes fine even with few rows.
 	MinParallelNNZ int
-	// Kernels picks the kernel flavor (Go scalar, SIMD, or fused SIMD).
+	// Kernels picks the kernel flavor (Go scalar or SIMD).
 	// The zero value KernelAuto follows GEBE_SIMD and hardware support;
 	// explicit requests are clamped to what the CPU can run.
 	Kernels cpu.KernelMode

@@ -243,7 +243,7 @@ func TestTuningValidate(t *testing.T) {
 	good := []Tuning{
 		{},
 		{Threads: 16, MinParallelNNZ: 1024},
-		{Kernels: cpu.KernelFMA},
+		{Kernels: cpu.KernelSIMD},
 	}
 	for _, tn := range good {
 		if err := tn.Validate(); err != nil {
@@ -333,7 +333,7 @@ func TestFMACountsStrategyInvariant(t *testing.T) {
 	y := dense.Random(80, 1, rng(35)).Data
 	defer EnableMetrics(nil)
 	for _, threads := range []int{1, 4} {
-		for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD, cpu.KernelFMA} {
+		for _, fl := range []cpu.KernelMode{cpu.KernelGo, cpu.KernelSIMD} {
 			reg := obs.NewRegistry()
 			EnableMetrics(reg)
 			tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}

@@ -44,10 +44,8 @@ func sameUpToNaN(a, b []float64) (int, bool) {
 // hopFlavors lists the flavors this machine resolves to distinctly.
 func hopFlavors() []cpu.KernelMode {
 	fl := []cpu.KernelMode{cpu.KernelGo}
-	for _, m := range []cpu.KernelMode{cpu.KernelSIMD, cpu.KernelFMA} {
-		if cpu.Resolve(m) == m {
-			fl = append(fl, m)
-		}
+	if cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD {
+		fl = append(fl, cpu.KernelSIMD)
 	}
 	return fl
 }
@@ -121,9 +119,6 @@ func TestHopMatchesTwoGathers(t *testing.T) {
 							if i, ok := bitsEqual(gotD.Data, ownD.Data); !ok {
 								t.Fatalf("%s: dst differs from the two gathers at %d: %v != %v", name, i, gotD.Data[i], ownD.Data[i])
 							}
-							if fl == cpu.KernelFMA {
-								continue // the fused flavor's rounding is tolerance-gated, not bitwise
-							}
 							if i, ok := sameUpToNaN(gotD.Data, wantD.Data); !ok {
 								t.Fatalf("%s: dst differs from the reference at %d: %v != %v", name, i, gotD.Data[i], wantD.Data[i])
 							}
@@ -168,9 +163,8 @@ func TestHopMatchesTwoGathers(t *testing.T) {
 	}
 }
 
-// TestHopDispatch: the one-pass kernel serves only the non-fused vector
-// flavor, one worker and widths that tile into 8-column panels; the
-// fused flavor never falls through to it.
+// TestHopDispatch: the one-pass kernel serves only the vector flavor,
+// one worker and widths that tile into 8-column panels.
 func TestHopDispatch(t *testing.T) {
 	m := adversarialCSR(t, 60, 35, 500, 76)
 	one := Tuning{Threads: 1, Kernels: cpu.KernelSIMD}
@@ -187,15 +181,11 @@ func TestHopDispatch(t *testing.T) {
 	}
 	for _, tn := range []Tuning{
 		{Threads: 1, Kernels: cpu.KernelGo},
-		{Threads: 1, Kernels: cpu.KernelFMA},
 		{Threads: 2, MinParallelNNZ: 1, Kernels: cpu.KernelSIMD},
 	} {
 		if m.HopFused(32, tn) {
 			t.Errorf("HopFused(k=32, %+v) = true, want the two gathers", tn)
 		}
-	}
-	if hasHop(32, cpu.KernelFMA) {
-		t.Error("KernelFMA dispatched the non-fused hop")
 	}
 }
 

@@ -25,7 +25,7 @@ type mulKernel func(m *CSR, bd, od []float64, k, lo, hi int)
 
 // The dispatch table. Scalar Go kernels are installed here; the vector
 // flavors register from kernels_simd.go when the CPU supports them, and
-// Pick applies the shared width classification plus fma → simd → go
+// Pick applies the shared width classification plus simd → go
 // fallback from internal/cpu.
 var mulKernels = cpu.NewTable[mulKernel](mulGeneric, "generic")
 
