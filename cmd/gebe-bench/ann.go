@@ -9,6 +9,7 @@ import (
 	"gebe/internal/core"
 	"gebe/internal/eval"
 	"gebe/internal/gen"
+	"gebe/internal/obs"
 )
 
 // The -ann microbench measures cluster-pruned retrieval against the
@@ -18,7 +19,7 @@ import (
 // recall@10, per-query latency, and candidate counts for the float and
 // int8 row paths. The full-probe float row is the correctness gate —
 // it must reproduce the exact scorer bitwise, and the command exits
-// non-zero when it does not (same convention as -dense divergence).
+// non-zero when it does not.
 
 // annCell is one (nprobe, rows) measurement in BENCH_ANN.json.
 type annCell struct {
@@ -52,8 +53,9 @@ type annReport struct {
 // runANNBench trains the stand-in embedding, builds the index, runs the
 // probe sweep, and returns the BENCH_ANN.json payload. quick shrinks
 // the graph and query set to CI-smoke size. The second return is the
-// full-probe bitwise gate.
-func runANNBench(out io.Writer, gomaxprocs int, quick bool) (annReport, bool) {
+// full-probe bitwise gate. The training solve's spans go to tr (nil
+// when untraced).
+func runANNBench(out io.Writer, gomaxprocs int, quick bool, tr *obs.Trace) (annReport, bool) {
 	gcfg := gen.LFConfig{
 		NU: 1500, NV: 12000, NE: 150000,
 		Clusters: 24, Skew: 0.8, CrossRate: 0.15, MinDegree: 2, Seed: 7,
@@ -73,7 +75,7 @@ func runANNBench(out io.Writer, gomaxprocs int, quick bool) (annReport, bool) {
 	fmt.Fprintf(out, "graph: %d users x %d items, %d edges; embedding k=%d\n",
 		g.NU, g.NV, g.NumEdges(), k)
 	t0 := time.Now()
-	emb, err := core.GEBE(g, core.Options{K: k, Seed: 7, Threads: gomaxprocs})
+	emb, err := core.GEBE(g, core.Options{K: k, Seed: 7, Threads: gomaxprocs, Trace: tr})
 	if err != nil {
 		fmt.Fprintf(out, "gebe-bench: training stand-in embedding: %v\n", err)
 		panic(err)

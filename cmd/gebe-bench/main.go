@@ -11,10 +11,12 @@
 //	gebe-bench -exp fig5              # parameter sweeps, link prediction (Figure 5)
 //	gebe-bench -exp incremental       # warm-start vs cold retrain on a grown graph
 //	gebe-bench -exp all
-//	gebe-bench -kernels -json results/  # SpMM microbench → results/BENCH_SPMM.json
-//	gebe-bench -dense -json results/    # dense GEMM/QR microbench → results/BENCH_DENSE.json
+//	gebe-bench -ann -json results/    # IVF probe sweep vs exact scorer → results/BENCH_ANN.json
 //
 // Restrict work with -datasets dblp,movielens and -methods "GEBE^p,NRP".
+// The SpMM and dense engines are timed by their Go benchmarks
+// (go test -bench ./internal/sparse/ ./internal/dense/) and, on the
+// shapes the solvers run, by perfbench's train workloads.
 //
 // Observability: -v/-vv stream solver logs, -trace FILE writes the phase
 // trace, -debug-addr :0 serves live /metrics and /debug/pprof, and each
@@ -59,10 +61,8 @@ func main() {
 		methods     = flag.String("methods", "", "comma-separated method filter")
 		jsonPath    = flag.String("json", "", "write machine-readable results to this file (or BENCH_<exp>.json files if a directory)")
 		manifestDir = flag.String("manifest-dir", "results", "directory for RUN_<exp>.json run manifests (empty disables)")
-		kernelBench = flag.Bool("kernels", false, "run the SpMM kernel microbench (legacy vs tuned engine) instead of the paper experiments")
-		denseBench  = flag.Bool("dense", false, "run the dense engine microbench (legacy vs blocked GEMM/QR) instead of the paper experiments")
 		annBench    = flag.Bool("ann", false, "run the approximate-retrieval bench (IVF probe sweep vs exact scorer) instead of the paper experiments")
-		quick       = flag.Bool("quick", false, "with -dense/-ann: CI-smoke grid (small shapes, short timing spans)")
+		quick       = flag.Bool("quick", false, "with -ann: CI-smoke grid (small shapes, short timing spans)")
 	)
 	cli := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -76,58 +76,9 @@ func main() {
 		dense.EnableMetrics(obs.DefaultRegistry())
 	}
 
-	if *kernelBench {
-		start := time.Now()
-		rows := runKernelBench(os.Stdout, runtime.GOMAXPROCS(0))
-		rep := []benchResult{{
-			Experiment: "SPMM", ElapsedSeconds: time.Since(start).Seconds(), Rows: rows,
-		}}
-		if *jsonPath != "" {
-			if err := writeReport(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "gebe-bench: writing -json report: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		stop()
-		// A vector kernel that does not reproduce the Go oracle is a
-		// correctness failure, not a slow run.
-		if rows.Summary["simd_bitwise"] != 1 {
-			fmt.Fprintln(os.Stderr, "gebe-bench: SIMD kernels diverge from the Go oracle (not bitwise)")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *denseBench {
-		start := time.Now()
-		rows := runDenseBench(os.Stdout, runtime.GOMAXPROCS(0), *quick)
-		rep := []benchResult{{
-			Experiment: "DENSE", ElapsedSeconds: time.Since(start).Seconds(), Rows: rows,
-		}}
-		if *jsonPath != "" {
-			if err := writeReport(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "gebe-bench: writing -json report: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		stop()
-		// Divergence is a correctness failure, not a slow run: CI points
-		// its smoke step here.
-		if rows.Summary["max_abs_diff"] > 1e-12 || rows.Summary["all_fma_match"] != 1 {
-			fmt.Fprintf(os.Stderr, "gebe-bench: dense engine diverges from the reference loops (max |diff| %.3e, fma match %v)\n",
-				rows.Summary["max_abs_diff"], rows.Summary["all_fma_match"] == 1)
-			os.Exit(1)
-		}
-		if rows.Summary["simd_bitwise"] != 1 {
-			fmt.Fprintln(os.Stderr, "gebe-bench: SIMD kernels diverge from the Go oracle (not bitwise)")
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *annBench {
 		start := time.Now()
-		rows, bitwise := runANNBench(os.Stdout, runtime.GOMAXPROCS(0), *quick)
+		rows, bitwise := runANNBench(os.Stdout, runtime.GOMAXPROCS(0), *quick, cli.Trace())
 		rep := []benchResult{{
 			Experiment: "ANN", ElapsedSeconds: time.Since(start).Seconds(), Rows: rows,
 		}}
@@ -150,7 +101,7 @@ func main() {
 	cfg := experiments.Config{
 		K: *k, Seed: *seed, Threads: *threads, TimeBudget: *budget,
 		Datasets: splitList(*datasets), Methods: splitList(*methods),
-		Out: os.Stdout, ManifestDir: *manifestDir, Trace: obs.DefaultTrace(),
+		Out: os.Stdout, ManifestDir: *manifestDir, Trace: cli.Trace(),
 	}
 	if *ddl > 0 {
 		cfg.Deadline = time.Now().Add(*ddl)

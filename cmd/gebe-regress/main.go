@@ -1,17 +1,14 @@
 // Command gebe-regress is the performance regression gate: it compares
 // a fresh performance record against a committed baseline and exits
 // non-zero when a metric regressed beyond both the relative threshold
-// and the absolute floor. It reads the record kinds this repo produces
-// — serve latency snapshots (results/SERVE_LATENCY.json, written by
-// gebe-serve -latency-out), experiment run manifests (RUN_<exp>.json,
-// written by gebe-bench -manifest-dir), and gebe-bench microbench
-// reports (BENCH_SPMM/DENSE/ANN.json, written by gebe-bench
-// -kernels/-dense/-ann -json) — detecting the kind from the file
-// contents. Kernel grids are machine-normalized through their legacy
-// timings before gating, and additionally gate the vector kernels'
-// best-in-class SIMD-over-Go speedup against -simd-floor; ANN reports
-// additionally gate recall@10 against -recall-floor and the full-probe
-// bitwise contract.
+// and the absolute floor. It reads three record kinds, detecting the
+// kind from the file contents: latency snapshots
+// (results/SERVE_LATENCY.json and COORD_LATENCY.json, written by
+// gebe-serve and gebe-coord -latency-out), experiment run manifests
+// (RUN_<exp>.json, written by gebe-bench -manifest-dir), and the
+// retrieval report BENCH_ANN.json (written by gebe-bench -ann -json),
+// whose gate also holds recall@10 above -recall-floor and the
+// full-probe bitwise contract.
 //
 //	gebe-regress -old results/SERVE_LATENCY.json -new /tmp/fresh.json \
 //	    -ratio 5 -min-delta 25ms
@@ -32,13 +29,12 @@ import (
 
 func main() {
 	var (
-		oldPath  = flag.String("old", "", "baseline record (latency snapshot or run manifest)")
+		oldPath  = flag.String("old", "", "baseline record (latency snapshot, run manifest or BENCH_ANN.json)")
 		newPath  = flag.String("new", "", "fresh record of the same kind")
 		ratio    = flag.Float64("ratio", 0.5, "allowed fractional increase (0.5 = +50%)")
 		minDelta = flag.Duration("min-delta", 25*time.Millisecond, "absolute increase floor; smaller deltas never fail")
 		minCount = flag.Uint64("min-count", 1, "skip endpoints with fewer samples on either side")
 		recall   = flag.Float64("recall-floor", 0.95, "minimum recall@10 at the default probe (ann reports only)")
-		simd     = flag.Float64("simd-floor", 1.3, "minimum best-in-class SIMD-over-Go kernel speedup for the k16 and panel8 width classes (bench reports only; 0 disables)")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -52,7 +48,6 @@ func main() {
 		MinDelta:    minDelta.Seconds(),
 		MinCount:    *minCount,
 		RecallFloor: *recall,
-		SIMDFloor:   *simd,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gebe-regress:", err)

@@ -65,7 +65,7 @@ func main() {
 
 	opt := gebe.Options{
 		K: *k, Lambda: *lambda, Tau: *tau, Iters: *iters, Epsilon: *epsilon,
-		Seed: *seed, Threads: *threads, NoScale: *noScale,
+		Seed: *seed, Threads: *threads, NoScale: *noScale, Trace: cli.Trace(),
 	}
 	if *ddl > 0 {
 		opt.Deadline = time.Now().Add(*ddl)

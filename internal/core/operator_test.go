@@ -33,7 +33,7 @@ func refApplyH(w *sparse.CSR, omega pmf.PMF, tau int, z *dense.Matrix) *dense.Ma
 	q.Scale(omega.Weight(0))
 	ql := z
 	for ell := 1; ell <= tau; ell++ {
-		ql = w.ReferenceMulDense(w.ReferenceTMulDense(ql, 1), 1)
+		ql = w.ReferenceMulDense(w.ReferenceTMulDense(ql))
 		if wl := omega.Weight(ell); wl != 0 {
 			q.AddScaled(wl, ql)
 		}
@@ -85,7 +85,7 @@ func TestHOperatorApplyIntoMatchesReference(t *testing.T) {
 							t.Fatalf("%s pass %d: ApplyInto differs from the reference formula", name, pass)
 						}
 					}
-					wantPP := refApplyH(w, om, tau, w.ReferenceMulDense(w.ReferenceTMulDense(want, 1), 1))
+					wantPP := refApplyH(w, om, tau, w.ReferenceMulDense(w.ReferenceTMulDense(want)))
 					pp := &ppOperator{h: newHOperator(w, opt)}
 					if got := pp.ApplyInto(dense.New(w.Rows, k), z); !sameBitsMatrix(got, wantPP) {
 						t.Fatalf("%s: ppOperator differs from the reference formula", name)

@@ -93,7 +93,8 @@ type Options struct {
 	Logger *obs.Logger
 	// Trace, when non-nil, collects a nested phase-span tree (σ₁
 	// estimation, KSI sweeps, SVD blocks, embedding realization) for this
-	// run. nil falls back to obs.DefaultTrace() (installed by -trace).
+	// run. nil traces nothing; commands pass the trace their -trace flag
+	// created (obs.CLI.Trace).
 	Trace *obs.Trace
 	// Metrics receives solver counters/gauges/histograms. nil falls back
 	// to obs.DefaultRegistry(), the process-wide registry served by
@@ -106,21 +107,18 @@ type Options struct {
 }
 
 // obsRun resolves the per-run observability sinks, falling back to the
-// process-wide defaults for any field left nil.
+// process-wide logger and registry when those are nil. The trace has no
+// fallback.
 func (o Options) obsRun() *obs.Run {
 	log := o.Logger
 	if log == nil {
 		log = obs.Default()
 	}
-	tr := o.Trace
-	if tr == nil {
-		tr = obs.DefaultTrace()
-	}
 	reg := o.Metrics
 	if reg == nil {
 		reg = obs.DefaultRegistry()
 	}
-	return &obs.Run{Log: log, Trace: tr, Metrics: reg, Progress: o.Progress}
+	return &obs.Run{Log: log, Trace: o.Trace, Metrics: reg, Progress: o.Progress}
 }
 
 func (o Options) withDefaults() Options {

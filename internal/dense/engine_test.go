@@ -40,6 +40,12 @@ func maxAbsDiff(a, b *Matrix) float64 {
 	return Sub(a, b).MaxAbs()
 }
 
+// tallShapes are n×k operands at solver scale, past the unit sweeps'
+// 250 rows and inner dimension 40: the embedding width and a Krylov
+// block width over a 2000-node side. The products take them as tall·small
+// (n×k · k×k), tallᵀ·tall (n×k against n×k) and tall·smallᵀ.
+var tallShapes = [][2]int{{2000, 32}, {2000, 128}}
+
 func TestMulMatchesLegacyBitwise(t *testing.T) {
 	rng := engineRand(1)
 	// Widths cover every dispatch: generic (3, 5), k4, k8, k16, panel8 (24).
@@ -56,6 +62,16 @@ func TestMulMatchesLegacyBitwise(t *testing.T) {
 							rows, inner, inner, k, threads, d)
 					}
 				}
+			}
+		}
+	}
+	for _, sh := range tallShapes {
+		n, k := sh[0], sh[1]
+		a, b := Random(n, k, rng), Random(k, k, rng)
+		want := ReferenceMul(a, b)
+		for _, threads := range []int{1, 3} {
+			if d := maxAbsDiff(want, MulOpts(a, b, forceParallel(threads))); d != 0 {
+				t.Fatalf("Mul %dx%d·%dx%d threads=%d: max diff %g, want bitwise match", n, k, k, k, threads, d)
 			}
 		}
 	}
@@ -79,6 +95,16 @@ func TestMulTMatchesLegacyBitwise(t *testing.T) {
 			}
 		}
 	}
+	for _, sh := range tallShapes {
+		n, k := sh[0], sh[1]
+		a, b := Random(n, k, rng), Random(k, k, rng)
+		want := ReferenceMulT(a, b)
+		for _, threads := range []int{1, 3} {
+			if d := maxAbsDiff(want, MulTOpts(a, b, forceParallel(threads))); d != 0 {
+				t.Fatalf("MulT %dx%d·(%dx%d)ᵀ threads=%d: max diff %g, want bitwise match", n, k, k, k, threads, d)
+			}
+		}
+	}
 }
 
 func TestTMulMatchesLegacy(t *testing.T) {
@@ -96,6 +122,16 @@ func TestTMulMatchesLegacy(t *testing.T) {
 							rows, k1, rows, k2, threads, d)
 					}
 				}
+			}
+		}
+	}
+	for _, sh := range tallShapes {
+		n, k := sh[0], sh[1]
+		a, b := Random(n, k, rng), Random(n, k, rng)
+		want := ReferenceTMul(a, b)
+		for _, threads := range []int{1, 3} {
+			if d := maxAbsDiff(want, TMulOpts(a, b, forceParallel(threads))); d != 0 {
+				t.Fatalf("TMul (%dx%d)ᵀ·%dx%d threads=%d: max diff %g, want bitwise match", n, k, n, k, threads, d)
 			}
 		}
 	}
@@ -217,6 +253,24 @@ func TestEngineMetricsRecorded(t *testing.T) {
 		want := 30.*8*8 + 30.*8*8 + 30.*8*30 + qrFlops(30, 8)
 		if got := reg.Counter("dense_gemm_fma_total", "").Value(); got != want {
 			t.Errorf("%+v booked %g fma, want %g", tn, got, want)
+		}
+	}
+	// At solver scale the parallel paths split real work; each product
+	// still books n·k·k and the QR its nominal count.
+	for _, sh := range tallShapes {
+		n, k := sh[0], sh[1]
+		a, s := Random(n, k, rng), Random(k, k, rng)
+		for _, tn := range []Tuning{forceParallel(1), forceParallel(3)} {
+			reg := newTestRegistry(t)
+			MulOpts(a, s, tn)
+			TMulOpts(a, a, tn)
+			MulTOpts(a, s, tn)
+			QROpts(a, tn)
+			nk := float64(n) * float64(k)
+			want := 3*nk*float64(k) + qrFlops(n, k)
+			if got := reg.Counter("dense_gemm_fma_total", "").Value(); got != want {
+				t.Errorf("%dx%d %+v booked %g fma, want %g", n, k, tn, got, want)
+			}
 		}
 	}
 }

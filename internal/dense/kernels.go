@@ -5,7 +5,7 @@ import "gebe/internal/cpu"
 // The inner GEMM kernels. Every kernel performs exactly rows·inner·cols
 // multiply-adds for its assigned row range — the engine's fma counter is
 // schedule- and kernel-independent, which is what lets the equivalence
-// tests and BENCH_DENSE assert identical work across dispatch choices.
+// tests assert identical work across dispatch choices.
 //
 // Mul (A·B) mirrors the sparse engine's width dispatch: the specialized
 // widths keep the whole output row in named scalars for the duration of

@@ -13,9 +13,7 @@ import (
 // equivalence tests (every sequential engine product accumulates each
 // element in the same order, so it must match them exactly); QR and
 // Jacobi are the oracles of the blocked QR's and SymEig's error-bound
-// tests. The loops and QR are also the machine-normalization denominator
-// of the committed BENCH_DENSE.json baseline (its legacy_seconds
-// column), so they must stay exactly as they are.
+// tests. Change them only together with the tests they anchor.
 
 // ReferenceMul returns a·b computed by the serial generic loop.
 func ReferenceMul(a, b *Matrix) *Matrix {

@@ -60,6 +60,36 @@ func TestDenseSIMDEquivalenceSweep(t *testing.T) {
 			}
 		}
 	}
+	// Solver-scale operands. The reference side of these shapes is in
+	// TestMulMatchesLegacyBitwise and its siblings; the Go kernels'
+	// answers do not depend on the thread count, so they are computed
+	// once. QR runs at the embedding width here (2000×96 is in
+	// TestQRBitwiseAcrossThreadsAndFlavors; the Go QR at 2000×128 costs
+	// about a second under -race).
+	for _, sh := range tallShapes {
+		n, k := sh[0], sh[1]
+		a := Random(n, k, rng(uint64(n+k)))
+		b := Random(n, k, rng(uint64(n+k)+1))
+		s := Random(k, k, rng(uint64(n+k)+2))
+		goT := Tuning{Threads: 1, Kernels: cpu.KernelGo}
+		goMul, goMulT, goTMul := MulOpts(a, s, goT), MulTOpts(a, s, goT), TMulOpts(a, b, goT)
+		var goQ, goR *Matrix
+		if k <= 32 {
+			goQ, goR = QROpts(a, goT)
+		}
+		for _, threads := range []int{1, 3} {
+			sT := Tuning{Threads: threads, Kernels: cpu.KernelSIMD}
+			name := fmt.Sprintf("%dx%d/t=%d", n, k, threads)
+			check("mul/"+name, MulOpts(a, s, sT), goMul, nil)
+			check("mult/"+name, MulTOpts(a, s, sT), goMulT, nil)
+			check("tmul/"+name, TMulOpts(a, b, sT), goTMul, nil)
+			if goQ != nil {
+				sQ, sR := QROpts(a, sT)
+				check("qr/Q/"+name, sQ, goQ, nil)
+				check("qr/R/"+name, sR, goR, nil)
+			}
+		}
+	}
 }
 
 // TestDenseSIMDPoolRace hammers the vector kernels on the shared pool

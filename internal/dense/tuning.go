@@ -121,8 +121,8 @@ func EnableMetrics(r *obs.Registry) {
 
 // record books one operation: wall-clock, call count, multiply-adds
 // (a pure shape function, identical across schedules and kernels — the
-// invariant the equivalence tests and BENCH_DENSE pin), and the dispatch
-// counters. Nil-safe so the disabled path stays branch-only.
+// invariant TestEngineMetricsRecorded and TestQRBooksOneRecord pin), and
+// the dispatch counters. Nil-safe so the disabled path stays branch-only.
 func (gm *gemmMetrics) record(o dop, t0 time.Time, flops float64, strategy, kernel string) {
 	if gm == nil {
 		return

@@ -18,6 +18,8 @@ type CLI struct {
 	Debug     bool
 	TracePath string
 	DebugAddr string
+
+	trace *Trace // created by Start when TracePath is set
 }
 
 // RegisterFlags installs the observability flags on fs (typically
@@ -36,10 +38,11 @@ func (c *CLI) Active() bool {
 	return c.Verbose || c.Debug || c.TracePath != "" || c.DebugAddr != ""
 }
 
-// Start applies the parsed flags: installs the process-wide logger and
-// trace and launches the debug server. The returned stop function
-// flushes the trace file and must be called before the program exits
-// successfully (a skipped stop only loses the trace file).
+// Start applies the parsed flags: installs the process-wide logger,
+// launches the debug server and, for -trace, creates the run's trace
+// (see Trace). The returned stop function flushes the trace file and
+// must be called before the program exits successfully (a skipped stop
+// only loses the trace file).
 func (c *CLI) Start(component string) (stop func(), err error) {
 	if c.Verbose || c.Debug {
 		level := slog.LevelInfo
@@ -55,16 +58,14 @@ func (c *CLI) Start(component string) (stop func(), err error) {
 		}
 		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (metrics, expvar, pprof)\n", component, addr)
 	}
-	var tr *Trace
 	if c.TracePath != "" {
-		tr = NewTrace(component)
-		SetDefaultTrace(tr)
+		c.trace = NewTrace(component)
 	}
+	tr := c.trace
 	return func() {
 		if tr == nil {
 			return
 		}
-		SetDefaultTrace(nil)
 		if err := tr.WriteFile(c.TracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: writing trace: %v\n", component, err)
 			return
@@ -72,3 +73,8 @@ func (c *CLI) Start(component string) (stop func(), err error) {
 		fmt.Fprintf(os.Stderr, "%s: wrote trace to %s\n", component, c.TracePath)
 	}, nil
 }
+
+// Trace returns the trace Start created for -trace, or nil when tracing
+// is off. The command passes it to what it runs (core.Options.Trace,
+// experiments.Config.Trace); nothing picks it up implicitly.
+func (c *CLI) Trace() *Trace { return c.trace }

@@ -6,9 +6,10 @@
 // Everything is opt-in and nil-safe: a nil *Logger discards records, a
 // nil *Trace makes spans no-ops, and a nil *Registry records nothing, so
 // un-instrumented runs pay only a nil check on the hot path. Commands
-// install process-wide defaults from their -v/-trace/-debug-addr flags
-// (see CLI); library callers inject per-run sinks through
-// core.Options.{Logger,Trace,Metrics,Progress}.
+// install the process-wide logger and serve the process-wide registry
+// from their -v/-debug-addr flags, and hand the trace -trace creates
+// (CLI.Trace) to what they run; library callers inject per-run sinks
+// through core.Options.{Logger,Trace,Metrics,Progress}.
 //
 // The package depends only on the standard library and imports nothing
 // from the rest of the repository, so any package (sparse kernels
@@ -21,10 +22,10 @@ import (
 )
 
 // Package-wide defaults, installed by CLI.Start (or tests) and picked up
-// by solvers whose Options carry no explicit sinks.
+// by solvers whose Options carry no explicit sinks. Traces have no
+// default: a trace reaches a run only through its Options.
 var (
 	defaultLogger   atomic.Pointer[Logger]
-	defaultTrace    atomic.Pointer[Trace]
 	defaultRegistry atomic.Pointer[Registry]
 )
 
@@ -38,18 +39,8 @@ func Default() *Logger { return defaultLogger.Load() }
 // SetDefault installs the process-wide logger; nil turns logging off.
 func SetDefault(l *Logger) { defaultLogger.Store(l) }
 
-// DefaultTrace returns the process-wide trace, or nil when tracing is off.
-func DefaultTrace() *Trace { return defaultTrace.Load() }
-
-// SetDefaultTrace installs the process-wide trace; nil turns tracing off.
-func SetDefaultTrace(t *Trace) { defaultTrace.Store(t) }
-
 // DefaultRegistry returns the process-wide metrics registry (never nil).
 func DefaultRegistry() *Registry { return defaultRegistry.Load() }
-
-// StartSpan opens a span on the process-wide trace; a no-op (returning a
-// nil span whose methods are safe) when no default trace is installed.
-func StartSpan(name string) *Span { return DefaultTrace().StartSpan(name) }
 
 // Progress is one solver progress event: a KSI sweep finishing, a
 // randomized-SVD Krylov block landing, and so on. Delivered to the

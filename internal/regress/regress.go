@@ -1,10 +1,11 @@
 // Package regress is the performance regression gate: it compares two
-// performance records — serve latency snapshots (SERVE_LATENCY.json),
-// experiment run manifests (RUN_<exp>.json), or gebe-bench microbench
-// reports (BENCH_SPMM/DENSE/ANN.json) — and reports increases that
-// exceed both a relative threshold and an absolute floor. CI runs it
-// through cmd/gebe-regress against the committed baseline, turning
-// "the serving layer got slower" from an anecdote into a failed check.
+// performance records — serve latency snapshots (SERVE_LATENCY.json,
+// COORD_LATENCY.json), experiment run manifests (RUN_<exp>.json), or
+// the gebe-bench retrieval report (BENCH_ANN.json) — and reports
+// increases that exceed both a relative threshold and an absolute
+// floor. CI runs it through cmd/gebe-regress against the committed
+// baseline, turning an order-of-magnitude slowdown from an anecdote
+// into a failed check. Fine-grained speed is perfbench's job.
 //
 // The double threshold matters: sub-millisecond quantiles jitter by
 // large ratios on shared runners, so a pure ratio gate would cry wolf,
@@ -41,12 +42,6 @@ type Options struct {
 	// RecallFloor is the minimum recall@10 at the default probe the ann
 	// gate accepts regardless of the baseline. Zero selects 0.95.
 	RecallFloor float64
-	// SIMDFloor is the minimum best-in-class SIMD-over-Go speedup a
-	// fresh kernel grid must show for the k16 and panel8 width classes
-	// (bench mode only). Zero disables the floor — unlike the fields
-	// above it has no non-zero default, because grids produced without
-	// vector kernels carry no speedups to gate.
-	SIMDFloor float64
 }
 
 func (o Options) withDefaults() Options {
@@ -88,7 +83,7 @@ func (f Finding) String() string {
 
 // Report is the outcome of one comparison.
 type Report struct {
-	Mode     string    `json:"mode"` // "latency" or "manifest"
+	Mode     string    `json:"mode"` // "latency", "manifest" or "ann"
 	Checked  int       `json:"checked"`
 	Findings []Finding `json:"findings"`
 	// Builds carries both sides' provenance when the records have it,
@@ -197,9 +192,10 @@ func phaseSeconds(root *obs.Span) map[string]float64 {
 }
 
 // CompareFiles loads two records and dispatches on their shape: a
-// top-level array means a gebe-bench report, an "endpoints" key a
-// latency snapshot, an "experiment" key a run manifest. Old and new
-// must be the same kind.
+// top-level array or an un-stamped "experiment" object means a
+// gebe-bench report, an "endpoints" key a latency snapshot, a stamped
+// "experiment" object a run manifest. Old and new must be the same
+// kind.
 func CompareFiles(oldPath, newPath string, opt Options) (Report, error) {
 	oldKind, oldRaw, err := loadRecord(oldPath)
 	if err != nil {

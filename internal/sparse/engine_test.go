@@ -47,6 +47,14 @@ func adversarialCSR(t testing.TB, rows, cols, nnz int, seed uint64) *CSR {
 // distribution, approximating the power-law degree sequences of the
 // paper's datasets; uniformCSR is the balanced control.
 func skewedCSR(t testing.TB, rows, cols, nnz int, seed uint64) *CSR {
+	m, err := newSkewed(rows, cols, nnz, seed)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return m
+}
+
+func newSkewed(rows, cols, nnz int, seed uint64) (*CSR, error) {
 	r := rng(seed)
 	entries := make([]Entry, nnz)
 	for i := range entries {
@@ -57,7 +65,21 @@ func skewedCSR(t testing.TB, rows, cols, nnz int, seed uint64) *CSR {
 		}
 		entries[i] = Entry{Row: row, Col: r.IntN(cols), Val: r.Float64()*2 - 1}
 	}
-	m, err := New(rows, cols, entries)
+	return New(rows, cols, entries)
+}
+
+// wideOnce builds the matrix wideCSR returns once per test binary.
+var wideOnce = sync.OnceValues(func() (*CSR, error) {
+	return newSkewed(8000, 30000, 200000, 95)
+})
+
+// wideCSR is the skewed short-and-wide orientation at scale: the shape
+// TMulDense meets inside H·Q, with hub rows thousands of entries long
+// and enough nonzeros that every thread count partitions real work.
+// The unit sweeps' matrices stop at 200 columns and 2000 nonzeros.
+// Callers share it and must not modify it.
+func wideCSR(t testing.TB) *CSR {
+	m, err := wideOnce()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -126,12 +148,31 @@ func TestEngineEquivalenceAdversarial(t *testing.T) {
 // is the order the reference scatter visits them), so the results are
 // bitwise equal for every width 1..33 and for the Go and SIMD flavors
 // alike. The parallel engine only moves row boundaries, never a sum, so
-// it must match bitwise too; the reference's own threads leave its
-// answer unchanged on these (under 4096-row) shapes.
+// it must match the serial reference bitwise too, including on the
+// 8000×30000 skewed shape where every worker gets real work.
 func TestEngineMatchesReferenceBitwise(t *testing.T) {
 	flavors := []cpu.KernelMode{cpu.KernelGo}
 	if cpu.Resolve(cpu.KernelSIMD) == cpu.KernelSIMD {
 		flavors = append(flavors, cpu.KernelSIMD)
+	}
+	compare := func(name string, m *CSR, k int, seed uint64, fls []cpu.KernelMode, threadSet []int) {
+		t.Helper()
+		b := dense.Random(m.Cols, k, rng(seed))
+		c := dense.Random(m.Rows, k, rng(seed+7))
+		wantMul := m.ReferenceMulDense(b)
+		wantT := m.ReferenceTMulDense(c)
+		for _, fl := range fls {
+			for _, threads := range threadSet {
+				tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
+				name := fmt.Sprintf("%s/k=%d/%v/t=%d", name, k, fl, threads)
+				if i, ok := bitsEqual(m.MulDenseOpts(b, tn).Data, wantMul.Data); !ok {
+					t.Fatalf("%s: MulDense diverges from the reference at %d", name, i)
+				}
+				if i, ok := bitsEqual(m.TMulDenseOpts(c, tn).Data, wantT.Data); !ok {
+					t.Fatalf("%s: TMulDense diverges from the reference at %d", name, i)
+				}
+			}
+		}
 	}
 	matrices := []*CSR{
 		adversarialCSR(t, 60, 35, 500, 3),
@@ -141,39 +182,14 @@ func TestEngineMatchesReferenceBitwise(t *testing.T) {
 	}
 	for mi, m := range matrices {
 		for k := 1; k <= 33; k++ {
-			b := dense.Random(m.Cols, k, rng(uint64(100*mi+k)))
-			c := dense.Random(m.Rows, k, rng(uint64(100*mi+k)+7))
-			wantMul := m.ReferenceMulDense(b, 4)
-			wantT := m.ReferenceTMulDense(c, 4)
-			for _, fl := range flavors {
-				for _, threads := range []int{1, 3} {
-					tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
-					name := fmt.Sprintf("m%d/k=%d/%v/t=%d", mi, k, fl, threads)
-					if i, ok := bitsEqual(m.MulDenseOpts(b, tn).Data, wantMul.Data); !ok {
-						t.Fatalf("%s: MulDense diverges from the reference at %d", name, i)
-					}
-					if i, ok := bitsEqual(m.TMulDenseOpts(c, tn).Data, wantT.Data); !ok {
-						t.Fatalf("%s: TMulDense diverges from the reference at %d", name, i)
-					}
-				}
-			}
+			compare(fmt.Sprintf("m%d", mi), m, k, uint64(100*mi+k), flavors, []int{1, 3})
 		}
 	}
-}
-
-// TestReferenceThreadsAgree checks the reference loops' own threaded
-// path (taken only from 4096 rows) against their sequential one; the
-// Wᵀ fold of per-worker partials reorders sums, so it gets round-off
-// slack.
-func TestReferenceThreadsAgree(t *testing.T) {
-	m := skewedCSR(t, 5000, 300, 40000, 7)
-	b := dense.Random(m.Cols, 8, rng(8))
-	c := dense.Random(m.Rows, 8, rng(9))
-	if i, ok := bitsEqual(m.ReferenceMulDense(b, 4).Data, m.ReferenceMulDense(b, 1).Data); !ok {
-		t.Fatalf("threaded ReferenceMulDense diverges at %d", i)
-	}
-	if !dense.Equal(m.ReferenceTMulDense(c, 4), m.ReferenceTMulDense(c, 1), 1e-10) {
-		t.Fatal("threaded ReferenceTMulDense disagrees with the sequential loop")
+	// At scale, the default flavor alone: TestSparseSIMDEquivalenceSweep
+	// holds the Go kernels to it bit for bit on the same shape.
+	wide := wideCSR(t)
+	for _, k := range []int{8, 32} {
+		compare("wide", wide, k, uint64(900+k), flavors[len(flavors)-1:], []int{1, 4})
 	}
 }
 
@@ -223,10 +239,6 @@ func TestWorkersGateOnNNZ(t *testing.T) {
 	}
 	if got := tn.workers(100, 1_000_000); got != 1 {
 		t.Errorf("tall near-empty: workers=%d, want 1", got)
-	}
-	// Legacy gate would have serialized the first case.
-	if got := legacyWorkerCount(100, 8); got != 1 {
-		t.Errorf("legacy gate on 100 rows: %d, want 1 (documents the old bug)", got)
 	}
 	// Worker count never exceeds rows.
 	if got := tn.workers(1_000_000, 3); got != 3 {
@@ -356,6 +368,24 @@ func TestFMACountsStrategyInvariant(t *testing.T) {
 			}
 		}
 	}
+	// At scale, with the default flavor and the default parallelism
+	// gate: the partition splits real work and the count still holds.
+	wide := wideCSR(t)
+	for _, k := range []int{8, 32} {
+		b := dense.Random(wide.Cols, k, rng(uint64(36+k)))
+		c := dense.Random(wide.Rows, k, rng(uint64(37+k)))
+		for _, threads := range []int{1, 4} {
+			reg := obs.NewRegistry()
+			EnableMetrics(reg)
+			tn := Tuning{Threads: threads}
+			wide.MulDenseOpts(b, tn)
+			wide.TMulDenseOpts(c, tn)
+			want := 2 * float64(wide.NNZ()) * float64(k)
+			if got := reg.Counter("sparse_spmm_fma_total", "").Value(); got != want {
+				t.Errorf("wide k=%d t=%d: fma=%v, want %v", k, threads, got, want)
+			}
+		}
+	}
 }
 
 // TestKernelCounters checks the per-kernel dispatch counters the engine
@@ -406,11 +436,6 @@ func BenchmarkSpMMMulDense(b *testing.B) {
 		{"uniform", uniform},
 		{"skewed", skewed},
 	} {
-		b.Run(tc.name+"/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tc.m.ReferenceMulDense(blk, 4)
-			}
-		})
 		b.Run(tc.name+"/tuned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tc.m.MulDenseOpts(blk, tn)
@@ -420,8 +445,7 @@ func BenchmarkSpMMMulDense(b *testing.B) {
 }
 
 // TMulDense is benchmarked in both orientations: tall (output on the
-// small side) and wide (output on the large side — the Wᵀ-block shape
-// where the reference loop's per-worker accumulators are most expensive).
+// small side) and wide (output on the large side — the Wᵀ-block shape).
 func BenchmarkSpMMTMulDense(b *testing.B) {
 	uniform, skewed := benchMatrices(b)
 	wide := skewedCSR(b, 8000, 30000, 600000, 95)
@@ -440,11 +464,6 @@ func BenchmarkSpMMTMulDense(b *testing.B) {
 		{"skewed", skewed, tall},
 		{"skewed-wide", wide, short},
 	} {
-		b.Run(tc.name+"/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tc.m.ReferenceTMulDense(tc.blk, 4)
-			}
-		})
 		b.Run(tc.name+"/tuned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tc.m.TMulDenseOpts(tc.blk, tn)

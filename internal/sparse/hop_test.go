@@ -65,12 +65,12 @@ func twoGathers(m *CSR, dst, next, tl *dense.Matrix, w float64, tn Tuning) {
 // referenceHop is the same composition on the uninstrumented reference
 // loops.
 func referenceHop(m *CSR, dst, next, tl *dense.Matrix, w float64) {
-	q := m.ReferenceMulDense(tl, 1)
+	q := m.ReferenceMulDense(tl)
 	if w != 0 {
 		dst.AddScaled(w, q)
 	}
 	if next != nil {
-		copy(next.Data, m.ReferenceTMulDense(q, 1).Data)
+		copy(next.Data, m.ReferenceTMulDense(q).Data)
 	}
 }
 

@@ -31,6 +31,29 @@ func TestSparseSIMDEquivalenceSweep(t *testing.T) {
 	if cpu.Resolve(cpu.KernelSIMD) != cpu.KernelSIMD {
 		t.Skip("no SIMD kernels on this CPU")
 	}
+	compare := func(name string, m *CSR, k int, seed uint64, threadSet []int) {
+		t.Helper()
+		b := dense.Random(m.Cols, k, rng(seed))
+		c := dense.Random(m.Rows, k, rng(seed+7))
+		for _, threads := range threadSet {
+			tn := Tuning{Threads: threads, MinParallelNNZ: 1}
+			name := fmt.Sprintf("%s/k=%d/t=%d", name, k, threads)
+
+			tn.Kernels = cpu.KernelGo
+			wantMul := m.MulDenseOpts(b, tn)
+			wantT := m.TMulDenseOpts(c, tn)
+
+			tn.Kernels = cpu.KernelSIMD
+			gotMul := m.MulDenseOpts(b, tn)
+			gotT := m.TMulDenseOpts(c, tn)
+			if i, ok := bitsEqual(gotMul.Data, wantMul.Data); !ok {
+				t.Fatalf("%s: SIMD MulDense diverges at %d: %v != %v", name, i, gotMul.Data[i], wantMul.Data[i])
+			}
+			if i, ok := bitsEqual(gotT.Data, wantT.Data); !ok {
+				t.Fatalf("%s: SIMD TMulDense diverges at %d: %v != %v", name, i, gotT.Data[i], wantT.Data[i])
+			}
+		}
+	}
 	matrices := []*CSR{
 		adversarialCSR(t, 60, 35, 500, 3),
 		skewedCSR(t, 120, 40, 2000, 4),
@@ -38,27 +61,12 @@ func TestSparseSIMDEquivalenceSweep(t *testing.T) {
 	}
 	for mi, m := range matrices {
 		for k := 1; k <= 33; k++ {
-			b := dense.Random(m.Cols, k, rng(uint64(100*mi+k)))
-			c := dense.Random(m.Rows, k, rng(uint64(100*mi+k)+7))
-			for _, threads := range []int{1, 3} {
-				tn := Tuning{Threads: threads, MinParallelNNZ: 1}
-				name := fmt.Sprintf("m%d/k=%d/t=%d", mi, k, threads)
-
-				tn.Kernels = cpu.KernelGo
-				wantMul := m.MulDenseOpts(b, tn)
-				wantT := m.TMulDenseOpts(c, tn)
-
-				tn.Kernels = cpu.KernelSIMD
-				gotMul := m.MulDenseOpts(b, tn)
-				gotT := m.TMulDenseOpts(c, tn)
-				if i, ok := bitsEqual(gotMul.Data, wantMul.Data); !ok {
-					t.Fatalf("%s: SIMD MulDense diverges at %d: %v != %v", name, i, gotMul.Data[i], wantMul.Data[i])
-				}
-				if i, ok := bitsEqual(gotT.Data, wantT.Data); !ok {
-					t.Fatalf("%s: SIMD TMulDense diverges at %d: %v != %v", name, i, gotT.Data[i], wantT.Data[i])
-				}
-			}
+			compare(fmt.Sprintf("m%d", mi), m, k, uint64(100*mi+k), []int{1, 3})
 		}
+	}
+	wide := wideCSR(t)
+	for _, k := range []int{8, 32} {
+		compare("wide", wide, k, uint64(900+k), []int{1, 4})
 	}
 }
 
@@ -171,8 +179,8 @@ func TestRangeKernelIntoBitwise(t *testing.T) {
 	for _, k := range []int{8, 16, 24, 32, 40, 64, 128} {
 		b := dense.Random(m.Cols, k, rng(uint64(k)))
 		c := dense.Random(m.Rows, k, rng(uint64(k)+1))
-		wantMul := m.ReferenceMulDense(b, 1)
-		wantT := m.ReferenceTMulDense(c, 1)
+		wantMul := m.ReferenceMulDense(b)
+		wantT := m.ReferenceTMulDense(c)
 		for _, threads := range []int{1, 2} {
 			for _, fl := range flavors {
 				tn := Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: fl}
