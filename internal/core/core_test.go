@@ -8,6 +8,7 @@ import (
 
 	"gebe/internal/bigraph"
 	"gebe/internal/dense"
+	"gebe/internal/obs"
 	"gebe/internal/pmf"
 )
 
@@ -245,12 +246,57 @@ func TestGEBEMatchesExact(t *testing.T) {
 
 // TestGEBEPMatchesExactPoisson: GEBE^p must agree with the exact
 // eigendecomposition of H_λ (large-τ truncation) on the reconstructed
-// Gram matrices — Theorem 5.1 with small ε.
+// Gram matrices — Theorem 5.1 with small ε — whichever side of W the
+// Krylov basis is built on: |V| rows for the tall graph, |U| for the
+// wide one.
 func TestGEBEPMatchesExactPoisson(t *testing.T) {
-	g := randomBipartite(t, 30, 20, 150, true, 13)
+	for _, sh := range [][2]int{{30, 20}, {20, 30}} {
+		g := randomBipartite(t, sh[0], sh[1], 150, true, 13)
+		lambda := 1.0
+		opt := Options{K: 5, PMF: pmf.NewPoisson(lambda), Lambda: lambda, Tau: 60,
+			Epsilon: 0.01, Iters: 800, Tol: 1e-12, Seed: 5}
+		gp, err := GEBEP(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ExactEmbedding(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range gp.Values {
+			if math.Abs(gp.Values[i]-exact.Values[i]) > 1e-4*(1+exact.Values[i]) {
+				t.Errorf("%dx%d: eigenvalue %d: gebep %v exact %v", sh[0], sh[1], i, gp.Values[i], exact.Values[i])
+			}
+		}
+		gram1 := dense.MulT(gp.U, gp.U)
+		gram2 := dense.MulT(exact.U, exact.U)
+		if !dense.Equal(gram1, gram2, 1e-4) {
+			t.Errorf("%dx%d: U·Uᵀ mismatch (max dev %g)", sh[0], sh[1], dense.Sub(gram1, gram2).MaxAbs())
+		}
+	}
+}
+
+// TestGEBEPRankDeficient: on a tall graph whose W has rank 3 < k, the
+// left singular vectors of the zero singular values are completed, not
+// lost — Z = U·Λ^{-1/2} stays orthonormal to 1e-12 — and every value,
+// the k−3 null-space ones e^{−λ} included, matches the exact reference.
+func TestGEBEPRankDeficient(t *testing.T) {
+	// Three co-clusters of 12 users × 5 items; each user's weight is the
+	// same on all its items, so every block is rank one.
+	var edges []bigraph.Edge
+	for c := 0; c < 3; c++ {
+		for u := c * 12; u < (c+1)*12; u++ {
+			for v := c * 5; v < (c+1)*5; v++ {
+				edges = append(edges, bigraph.Edge{U: u, V: v, W: float64(1 + c + u%4)})
+			}
+		}
+	}
+	g, err := bigraph.New(36, 15, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lambda := 1.0
-	opt := Options{K: 5, PMF: pmf.NewPoisson(lambda), Lambda: lambda, Tau: 60,
-		Epsilon: 0.01, Iters: 800, Tol: 1e-12, Seed: 5}
+	opt := Options{K: 6, PMF: pmf.NewPoisson(lambda), Lambda: lambda, Tau: 60, Epsilon: 0.01, Seed: 5}
 	gp, err := GEBEP(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +310,47 @@ func TestGEBEPMatchesExactPoisson(t *testing.T) {
 			t.Errorf("eigenvalue %d: gebep %v exact %v", i, gp.Values[i], exact.Values[i])
 		}
 	}
-	gram1 := dense.MulT(gp.U, gp.U)
-	gram2 := dense.MulT(exact.U, exact.U)
-	if !dense.Equal(gram1, gram2, 1e-4) {
-		t.Errorf("U·Uᵀ mismatch (max dev %g)", dense.Sub(gram1, gram2).MaxAbs())
+	if null := math.Exp(-lambda); math.Abs(gp.Values[opt.K-1]-null) > 1e-9 {
+		t.Errorf("null-space eigenvalue %v, want e^-λ = %v", gp.Values[opt.K-1], null)
+	}
+	z := gp.U.Clone()
+	inv := make([]float64, opt.K)
+	for i, v := range gp.Values {
+		inv[i] = 1 / math.Sqrt(v)
+	}
+	z.ScaleCols(inv)
+	if d := dense.Sub(dense.TMul(z, z), dense.Identity(opt.K)).MaxAbs(); d > 1e-12 {
+		t.Errorf("‖ZᵀZ − I‖_max = %g, want ≤ 1e-12", d)
+	}
+}
+
+// TestGEBEPTraceBasisSide: the rsvd span names the side the basis was
+// built on (basis_rows = min(|U|,|V|)) and carries σ_{k+1}, the largest
+// Ritz value the solve drops, which lies in (0, σ_k].
+func TestGEBEPTraceBasisSide(t *testing.T) {
+	for _, sh := range [][2]int{{30, 20}, {20, 30}} {
+		g := randomBipartite(t, sh[0], sh[1], 150, true, 13)
+		tr := obs.NewTrace("test")
+		gp, err := GEBEP(g, Options{K: 5, Lambda: 1, Seed: 5, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rsvd *obs.Span
+		for _, c := range tr.Root().Children[0].Children {
+			if c.Name == "rsvd" {
+				rsvd = c
+			}
+		}
+		if rsvd == nil {
+			t.Fatalf("%dx%d: no rsvd span", sh[0], sh[1])
+		}
+		if got := rsvd.Attrs["basis_rows"]; got != min(sh[0], sh[1]) {
+			t.Errorf("%dx%d: basis_rows = %v, want %d", sh[0], sh[1], got, min(sh[0], sh[1]))
+		}
+		sigmaK := math.Sqrt(1 + math.Log(gp.Values[4])) // λ_k = e^{σ_k² − 1}
+		if s, _ := rsvd.Attrs["sigma_k1"].(float64); !(s > 0 && s <= sigmaK+1e-12) {
+			t.Errorf("%dx%d: sigma_k1 = %v, want in (0, σ_k = %v]", sh[0], sh[1], rsvd.Attrs["sigma_k1"], sigmaK)
+		}
 	}
 }
 

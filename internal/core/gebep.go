@@ -21,7 +21,8 @@ func sqrtf(x float64) float64 { return math.Sqrt(x) }
 // SVD of W therefore replaces the entire KSI loop, removing both the τ
 // truncation and the t-sweep budget.
 //
-// Time complexity: O((|E|·k + |U|·k²)·log(|V|)/ε).
+// Time complexity: O((|E|·k + min(|U|,|V|)·k²)·log(|V|)/ε): the SVD
+// builds its Krylov basis on the shorter side of W.
 func GEBEP(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(g, true); err != nil {
@@ -48,7 +49,8 @@ func GEBEP(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	}
 	rsvd := run.Span("rsvd")
 	svd := linalg.RandomizedSVDRun(w, svdCfg)
-	rsvd.Set("krylov_dim", svd.KrylovDim).Set("iterations", svd.Iterations).Set("deadline_hit", svd.DeadlineHit)
+	rsvd.Set("krylov_dim", svd.KrylovDim).Set("iterations", svd.Iterations).Set("deadline_hit", svd.DeadlineHit).
+		Set("basis_rows", svd.BasisRows).Set("sigma_k1", svd.SigmaK1)
 	rsvd.End()
 	if svd.DeadlineHit {
 		root.End()

@@ -155,3 +155,34 @@ func TestGEBEThreadsBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestGEBEPThreadsBitwise: with every parallel gate dropped, GEBE^p on
+// three threads returns the one-thread embedding bit for bit, on a tall
+// graph (basis over W's columns) and a wide one (over its rows). K=6
+// builds a four-block Krylov basis, K=32 a single block.
+func TestGEBEPThreadsBitwise(t *testing.T) {
+	for _, sh := range [][2]int{{90, 60}, {60, 90}} {
+		g := randomBipartite(t, sh[0], sh[1], 700, true, 35)
+		for _, k := range []int{6, 32} {
+			run := func(threads int) *Embedding {
+				emb, err := GEBEP(g, Options{K: k, Seed: 9, Threads: threads,
+					SpMM:  sparse.Tuning{MinParallelNNZ: 1},
+					Dense: dense.Tuning{MinParallelFlops: 1}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return emb
+			}
+			one, three := run(1), run(3)
+			if !sameBitsMatrix(one.U, three.U) || !sameBitsMatrix(one.V, three.V) {
+				t.Fatalf("%dx%d K=%d: GEBE^p embedding differs between Threads=1 and Threads=3", sh[0], sh[1], k)
+			}
+			for i := range one.Values {
+				if math.Float64bits(one.Values[i]) != math.Float64bits(three.Values[i]) {
+					t.Fatalf("%dx%d K=%d: eigenvalue %d differs between Threads=1 and Threads=3: %v vs %v",
+						sh[0], sh[1], k, i, one.Values[i], three.Values[i])
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"gebe/internal/cpu"
@@ -32,16 +33,28 @@ const (
 )
 
 type qrCase struct {
-	name     string
-	a        *Matrix
-	fullRank bool
+	name       string
+	a          *Matrix
+	fullRank   bool
+	refQ, refR *Matrix // ReferenceQR(a)
 }
 
-func qrShapes() []qrCase {
+// qrShapes returns the shared QR cases with their ReferenceQR factors,
+// built once per test binary: the column-order reference is the slowest
+// thing in the package under -race. Callers must not modify them.
+var qrShapes = sync.OnceValue(func() []qrCase {
+	cases := qrInputs()
+	for i := range cases {
+		cases[i].refQ, cases[i].refR = ReferenceQR(cases[i].a)
+	}
+	return cases
+})
+
+func qrInputs() []qrCase {
 	r := rand.New(rand.NewPCG(42, 0x5eed))
 	var cases []qrCase
 	add := func(m, n int) {
-		cases = append(cases, qrCase{fmt.Sprintf("%dx%d", m, n), Random(m, n, r), true})
+		cases = append(cases, qrCase{name: fmt.Sprintf("%dx%d", m, n), a: Random(m, n, r), fullRank: true})
 	}
 	add(1, 1)
 	add(5, 5)   // m == n
@@ -58,7 +71,7 @@ func qrShapes() []qrCase {
 	add(300, 33) // panels + remainder
 	add(64, 64)  // square multi-panel
 	add(2000, 96)
-	cases = append(cases, qrCase{"zero 30x6", New(30, 6), false})
+	cases = append(cases, qrCase{name: "zero 30x6", a: New(30, 6)})
 	// Rank-deficient: duplicate and zero columns across leaf and panel
 	// boundaries.
 	rd := Random(120, 20, r)
@@ -68,14 +81,14 @@ func qrShapes() []qrCase {
 		rd.Set(i, 11, 0)           // zero column
 		rd.Set(i, 19, 0)           // zero column in the last panel
 	}
-	cases = append(cases, qrCase{"rank-deficient 120x20", rd, false})
+	cases = append(cases, qrCase{name: "rank-deficient 120x20", a: rd})
 	// Nearly dependent columns — the ill-conditioned case KSI feeds QR.
 	nc := Random(150, 18, r)
 	for i := 0; i < nc.Rows; i++ {
 		nc.Set(i, 7, nc.At(i, 1)+1e-13*nc.At(i, 3))
 		nc.Set(i, 16, nc.At(i, 9)+1e-13*nc.At(i, 4))
 	}
-	return append(cases, qrCase{"nearly dependent 150x18", nc, false})
+	return append(cases, qrCase{name: "nearly dependent 150x18", a: nc})
 }
 
 // qrErrors returns ‖QᵀQ − I‖_max and ‖A − QR‖_F/‖A‖_F (‖A − QR‖_F when
@@ -121,10 +134,9 @@ func TestQRStableAgainstReference(t *testing.T) {
 		}
 		// Same reflector sign choice as the reference: R's diagonal
 		// signs agree, so Q's columns do too (up to round-off).
-		_, refR := ReferenceQR(a)
 		for i := 0; i < r.Rows; i++ {
-			if math.Signbit(r.At(i, i)) != math.Signbit(refR.At(i, i)) {
-				t.Errorf("%s: R[%d,%d] = %g, reference %g: diagonal signs differ", tc.name, i, i, r.At(i, i), refR.At(i, i))
+			if math.Signbit(r.At(i, i)) != math.Signbit(tc.refR.At(i, i)) {
+				t.Errorf("%s: R[%d,%d] = %g, reference %g: diagonal signs differ", tc.name, i, i, r.At(i, i), tc.refR.At(i, i))
 			}
 		}
 	}
@@ -186,7 +198,7 @@ func TestQRInvariants(t *testing.T) {
 		}{
 			{"serial", func(a *Matrix) (q, r *Matrix) { return QROpts(a, Tuning{}) }},
 			{"parallel", func(a *Matrix) (q, r *Matrix) { return QROpts(a, Tuning{Threads: 4, MinParallelFlops: 1}) }},
-			{"reference", ReferenceQR},
+			{"reference", func(*Matrix) (q, r *Matrix) { return tc.refQ, tc.refR }},
 		} {
 			q, r := fc.factor(a)
 			n := a.Cols
@@ -296,13 +308,14 @@ func TestOrthonormalizeOptsMatches(t *testing.T) {
 	}
 }
 
-// BenchmarkQR times one steady-state factorization at the solver shapes:
-// 7987 is the row count of the perfbench mag stand-in, 32 the KSI block
-// (k=32) and 240 the GEBE^p Krylov basis.
+// BenchmarkQR times one steady-state factorization at the solver shapes
+// on the perfbench mag stand-in (7987×2499): the KSI block, 7987×32
+// (k=32), and the GEBE^p Krylov basis, 240 columns on the shorter side.
 func BenchmarkQR(b *testing.B) {
-	for _, n := range []int{32, 240} {
-		a := Random(7987, n, rand.New(rand.NewPCG(1, uint64(n))))
-		b.Run(fmt.Sprintf("7987x%d", n), func(b *testing.B) {
+	for _, sh := range [][2]int{{7987, 32}, {2499, 240}} {
+		m, n := sh[0], sh[1]
+		a := Random(m, n, rand.New(rand.NewPCG(1, uint64(n))))
+		b.Run(fmt.Sprintf("%dx%d", m, n), func(b *testing.B) {
 			var ws QRWork
 			ws.Factor(a, Tuning{})
 			for b.Loop() {

@@ -235,6 +235,36 @@ func TestRandomizedSVDDeadline(t *testing.T) {
 	}
 }
 
+// TestRandomizedSVDDeadlineMidExpansion: a deadline that passes after
+// the first expansion block of a tall W leaves a partial basis over W's
+// columns, and the map back to U must still give k orthonormal columns.
+func TestRandomizedSVDDeadlineMidExpansion(t *testing.T) {
+	w := randomSparse(t, 80, 50, 600, 23)
+	k := 5
+	full := RandomizedSVD(w, k, 0.01, 29, 1)
+	deadline := time.Now().Add(250 * time.Millisecond)
+	run := &obs.Run{Progress: func(p obs.Progress) {
+		if p.Step == 2 {
+			time.Sleep(time.Until(deadline) + time.Millisecond)
+		}
+	}}
+	res := RandomizedSVDRun(w, SVDConfig{K: k, Eps: 0.01, Seed: 29, Threads: 1, Deadline: deadline, Obs: run})
+	if !res.DeadlineHit || res.U == nil {
+		t.Fatalf("DeadlineHit=%v U=%v, want a partial result", res.DeadlineHit, res.U != nil)
+	}
+	if res.Iterations >= full.Iterations || res.KrylovDim >= full.KrylovDim {
+		t.Errorf("deadline did not cut the expansion: %d blocks, %d columns; full run %d, %d",
+			res.Iterations, res.KrylovDim, full.Iterations, full.KrylovDim)
+	}
+	if res.U.Rows != w.Rows || res.U.Cols != k {
+		t.Fatalf("U is %dx%d, want %dx%d", res.U.Rows, res.U.Cols, w.Rows, k)
+	}
+	utu := dense.TMul(res.U, res.U)
+	if d := dense.Sub(utu, dense.Identity(k)).MaxAbs(); d > 1e-12 {
+		t.Errorf("‖UᵀU − I‖_max = %g", d)
+	}
+}
+
 // TestRSVDSeedBlockCounted pins the metrics fix: the seed block counts
 // toward linalg_rsvd_blocks_total and linalg_rsvd_block_seconds, so both
 // agree with Iterations+1 (and with the rsvd.block span census).

@@ -345,6 +345,12 @@ type RSVDResult struct {
 	U *dense.Matrix
 	// Sigma holds the matching singular value estimates, descending.
 	Sigma []float64
+	// SigmaK1 is the largest Ritz estimate the result drops, σ_{k+1}
+	// (0 when the basis has only k columns).
+	SigmaK1 float64
+	// BasisRows is the row count of the Krylov basis: min(Rows(W),
+	// Cols(W)), the side of W it was built on.
+	BasisRows int
 	// KrylovDim is the dimension of the Krylov space actually used.
 	KrylovDim int
 	// Iterations is the number of block-Krylov expansion steps q.
@@ -362,9 +368,14 @@ type RSVDResult struct {
 // of Musco–Musco: the iteration count grows as log(n)/√eps. threads caps
 // SpMM parallelism.
 //
-// The Krylov basis K = [Π, (WWᵀ)Π, …, (WWᵀ)^q Π] with Π = orth(W·G) is
-// orthonormalized blockwise and then globally; the small projected
-// operator Kᵀ(WWᵀ)K is diagonalized exactly by dense.SymEig.
+// W and Wᵀ share their SVD, so the basis is built on whichever side of W
+// is shorter: with A = W when W has no more rows than columns and A = Wᵀ
+// otherwise, the Krylov basis K = [Π, (AAᵀ)Π, …, (AAᵀ)^q Π] has
+// min(rows, cols) rows. It is orthonormalized blockwise and then
+// globally, and the small projected operator Kᵀ(AAᵀ)K is diagonalized
+// exactly by dense.SymEig. Its Ritz vectors are W's left singular
+// vectors when A = W, and its right ones when A = Wᵀ, which W then maps
+// back to the left.
 func RandomizedSVD(w *sparse.CSR, k int, eps float64, seed uint64, threads int) RSVDResult {
 	return RandomizedSVDRun(w, SVDConfig{K: k, Eps: eps, Seed: seed, Threads: threads})
 }
@@ -408,10 +419,8 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 	k, eps, seed := cfg.K, cfg.Eps, cfg.Seed
 	tn := cfg.SpMM
 	tn.Threads = cfg.Threads
-	minDim := w.Rows
-	if w.Cols < minDim {
-		minDim = w.Cols
-	}
+	a := basisSide{w: w, transposed: w.Rows > w.Cols}
+	minDim := min(w.Rows, w.Cols)
 	if k <= 0 || k > minDim {
 		panic("linalg: RandomizedSVD requires 0 < k <= min(rows, cols)")
 	}
@@ -425,18 +434,15 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 	}
 	// q per Musco–Musco: Θ(log n / sqrt(eps)); small constants suffice in
 	// practice. The total Krylov dimension (q+1)·b must stay tractable for
-	// the global QR and cannot exceed the row count (thin QR needs rows ≥
+	// the global QR and cannot exceed the basis rows (thin QR needs rows ≥
 	// cols). When even a 2-block basis does not fit — tiny, near-square
-	// matrices — fall back to a single block capped at the row count; with
-	// b ≥ rank that single block already spans range(W).
+	// matrices — fall back to a single block capped at the basis rows;
+	// with b ≥ rank that single block already spans range(A).
 	q := int(math.Ceil(math.Log(float64(w.Cols)+2) / (4 * math.Sqrt(eps))))
 	if q < 2 {
 		q = 2
 	}
-	maxKrylov := 6 * b
-	if maxKrylov > w.Rows {
-		maxKrylov = w.Rows
-	}
+	maxKrylov := min(6*b, minDim)
 	for q > 1 && (q+1)*b > maxKrylov {
 		q--
 	}
@@ -445,7 +451,7 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 		// Gram application buys far more accuracy than extra oversampling.
 		b = maxKrylov / 2
 		if b < k {
-			b = k // maxKrylov = w.Rows ≥ minDim ≥ k, so b=k always fits q=0
+			b = k // maxKrylov = minDim ≥ k, so b=k always fits q=0
 			q = maxKrylov/b - 1
 			if q < 0 {
 				q = 0
@@ -459,7 +465,7 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 	blockSeconds := reg.Histogram("linalg_rsvd_block_seconds", "wall-clock per Krylov block (seed block included)", nil)
 	orthoSeconds := reg.Histogram("linalg_orthonormalize_seconds", "wall-clock per QR orthonormalization", obs.FastBuckets)
 
-	res := RSVDResult{Iterations: q}
+	res := RSVDResult{Iterations: q, BasisRows: minDim}
 	if budget.Exceeded(cfg.Deadline) {
 		// Expired before any work: nothing to project, return empty-handed.
 		log.Warn("rsvd: deadline expired before seed block")
@@ -468,22 +474,29 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 		return res
 	}
 	rng := NewRand(seed)
-	// One QR workspace serves every blockwise orthonormalization and the
-	// global QR: across q+2 factorizations only the largest shape
-	// allocates. The returned Q is a view, so each block is consumed
-	// (copied into kry) before the workspace is reused.
+	// One QR workspace serves every blockwise orthonormalization, the
+	// global QR and the map back to U: its buffers grow to the largest
+	// shape and are reused. The returned Q is a view, so each block is
+	// consumed (copied into kry) before the workspace is reused.
 	var qrws dense.QRWork
 	sp := run.Span("rsvd.block")
 	blockStart := time.Now()
-	block := qrws.Orthonormalize(rsvdSeedBlock(w, cfg, b, rng, tn, run), cfg.Dense)
+	seedBlock := rsvdSeedBlock(w, cfg, b, rng, tn, run)
+	if a.transposed {
+		// The seed block lives in range(W); Wᵀ carries it, warm columns
+		// included, into range(Wᵀ) where the basis is built.
+		seedBlock = a.mul(seedBlock, tn)
+	}
+	block := qrws.Orthonormalize(seedBlock, cfg.Dense)
 	sp.Set("block", 0).Set("of", q)
 	sp.End()
 	blocksTotal.Inc()
 	blockSeconds.ObserveSince(blockStart)
-	log.Debug("rsvd: seed block", "cols", b, "krylov_dim", (q+1)*b, "block_s", time.Since(blockStart).Seconds())
+	log.Debug("rsvd: seed block", "cols", b, "krylov_dim", (q+1)*b, "basis_rows", minDim,
+		"block_s", time.Since(blockStart).Seconds())
 	run.Emit(obs.Progress{Phase: "rsvd.block", Step: 1, Total: q + 1, Elapsed: time.Since(blockStart)})
-	// Assemble the Krylov matrix K (Rows×(q+1)b), blockwise orthonormalized.
-	kry := dense.New(w.Rows, (q+1)*b)
+	// Assemble the Krylov matrix K (minDim×(q+1)b), blockwise orthonormalized.
+	kry := dense.New(minDim, (q+1)*b)
 	copyBlock(kry, block, 0)
 	for i := 1; i <= q; i++ {
 		if budget.Exceeded(cfg.Deadline) {
@@ -497,7 +510,7 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 		}
 		blockStart = time.Now()
 		sp = run.Span("rsvd.block")
-		block = qrws.Orthonormalize(applyGram(w, block, tn), cfg.Dense)
+		block = qrws.Orthonormalize(a.gram(block, tn), cfg.Dense)
 		copyBlock(kry, block, i*b)
 		elapsed := time.Since(blockStart)
 		sp.Set("block", i).Set("of", q)
@@ -511,33 +524,66 @@ func RandomizedSVDRun(w *sparse.CSR, cfg SVDConfig) RSVDResult {
 	sp = run.Span("rsvd.global_qr")
 	kq := qrws.Orthonormalize(kry, cfg.Dense)
 	sp.End()
+	res.KrylovDim = kq.Cols // kq is a workspace view, reused below
 	orthoSeconds.ObserveSince(qrStart)
-	// Project: M = Kᵀ (WWᵀ) K = (WᵀK)ᵀ (WᵀK).
+	// Project: M = Kᵀ·(A·(Aᵀ·K)). The d×d product runs over the basis
+	// rows, where the Gram form (AᵀK)ᵀ(AᵀK) would run over the long side;
+	// SymEig symmetrizes the round-off.
 	sp = run.Span("rsvd.project")
-	wtk := w.TMulDenseOpts(kq, tn)
-	m := dense.TMulOpts(wtk, wtk, cfg.Dense)
+	m := dense.TMulOpts(kq, a.gram(kq, tn), cfg.Dense)
 	sp.End()
 	sp = run.Span("rsvd.eig")
 	vals, vecs := dense.SymEig(m)
-	u := dense.MulOpts(kq, vecs.SliceCols(0, k), cfg.Dense)
+	z := dense.MulOpts(kq, vecs.SliceCols(0, k), cfg.Dense)
+	if a.transposed {
+		// Z holds W's right singular vectors. The Ritz vectors diagonalize
+		// Zᵀ(WᵀW)Z, so W·Z has orthogonal columns of norm σ_i and the Q of
+		// its thin QR is U = W·Z·Σ⁻¹ up to column signs, which are as
+		// arbitrary as the Ritz vectors'. Where σ_i ≈ 0 (rank(W) < k) the
+		// factorization still completes U with orthonormal columns.
+		z = qrws.Orthonormalize(a.tmul(z, tn), cfg.Dense).Clone()
+	}
 	sp.End()
 	sigma := make([]float64, k)
 	for i := 0; i < k; i++ {
-		v := vals[i]
-		if v < 0 {
-			v = 0
-		}
-		sigma[i] = math.Sqrt(v)
+		sigma[i] = math.Sqrt(max(vals[i], 0))
 	}
-	res.U = u
+	if len(vals) > k {
+		res.SigmaK1 = math.Sqrt(max(vals[k], 0))
+	}
+	res.U = z
 	res.Sigma = sigma
-	res.KrylovDim = kq.Cols
 	return res
 }
 
-// applyGram returns (W Wᵀ)·x using two sparse products.
-func applyGram(w *sparse.CSR, x *dense.Matrix, tn sparse.Tuning) *dense.Matrix {
-	return w.MulDenseOpts(w.TMulDenseOpts(x, tn), tn)
+// basisSide is the operator A the Krylov basis is built for: A = W, or
+// A = Wᵀ when W has more rows than columns, so the basis and every dense
+// step on it run on min(rows, cols) rows. Wᵀ is applied through W's own
+// products and never materialized.
+type basisSide struct {
+	w          *sparse.CSR
+	transposed bool // A = Wᵀ
+}
+
+// mul returns A·x.
+func (a basisSide) mul(x *dense.Matrix, tn sparse.Tuning) *dense.Matrix {
+	if a.transposed {
+		return a.w.TMulDenseOpts(x, tn)
+	}
+	return a.w.MulDenseOpts(x, tn)
+}
+
+// tmul returns Aᵀ·x.
+func (a basisSide) tmul(x *dense.Matrix, tn sparse.Tuning) *dense.Matrix {
+	if a.transposed {
+		return a.w.MulDenseOpts(x, tn)
+	}
+	return a.w.TMulDenseOpts(x, tn)
+}
+
+// gram returns (A·Aᵀ)·x using two sparse products.
+func (a basisSide) gram(x *dense.Matrix, tn sparse.Tuning) *dense.Matrix {
+	return a.mul(a.tmul(x, tn), tn)
 }
 
 func copyBlock(dst, src *dense.Matrix, colOff int) {

@@ -127,25 +127,36 @@ func TestKSIPanicsOnBadK(t *testing.T) {
 	}
 }
 
+// TestRandomizedSVDMatchesExact runs the solver on both orientations:
+// the tall W builds its basis over W's columns, the wide one over its
+// rows.
 func TestRandomizedSVDMatchesExact(t *testing.T) {
-	w := randomSparse(t, 60, 40, 500, 17)
-	_, s, _ := dense.SVD(w.ToDense())
-	res := RandomizedSVD(w, 5, 0.01, 19, 1)
-	for i := 0; i < 5; i++ {
-		if math.Abs(res.Sigma[i]-s[i]) > 1e-3*(1+s[i]) {
-			t.Errorf("σ_%d: got %v exact %v", i, res.Sigma[i], s[i])
+	for _, sh := range [][2]int{{60, 40}, {40, 60}} {
+		w := randomSparse(t, sh[0], sh[1], 500, 17)
+		_, s, _ := dense.SVD(w.ToDense())
+		res := RandomizedSVD(w, 5, 0.01, 19, 1)
+		if res.BasisRows != min(sh[0], sh[1]) {
+			t.Errorf("%dx%d: basis has %d rows, want the shorter side", sh[0], sh[1], res.BasisRows)
 		}
-	}
-	// Left singular vectors: U should satisfy ‖WᵀU[:,i]‖ = σ_i and UᵀU = I.
-	utu := dense.TMul(res.U, res.U)
-	if !dense.Equal(utu, dense.Identity(5), 1e-8) {
-		t.Error("U columns not orthonormal")
-	}
-	wtu := w.TMulDense(res.U, 1)
-	for i := 0; i < 5; i++ {
-		n := dense.Norm2(wtu.Col(i))
-		if math.Abs(n-s[i]) > 1e-3*(1+s[i]) {
-			t.Errorf("‖WᵀU[:,%d]‖ = %v want σ=%v", i, n, s[i])
+		for i := 0; i < 5; i++ {
+			if math.Abs(res.Sigma[i]-s[i]) > 1e-3*(1+s[i]) {
+				t.Errorf("%dx%d: σ_%d: got %v exact %v", sh[0], sh[1], i, res.Sigma[i], s[i])
+			}
+		}
+		// Left singular vectors: U should satisfy ‖WᵀU[:,i]‖ = σ_i and UᵀU = I.
+		utu := dense.TMul(res.U, res.U)
+		if !dense.Equal(utu, dense.Identity(5), 1e-8) {
+			t.Errorf("%dx%d: U columns not orthonormal", sh[0], sh[1])
+		}
+		wtu := w.TMulDense(res.U, 1)
+		for i := 0; i < 5; i++ {
+			n := dense.Norm2(wtu.Col(i))
+			if math.Abs(n-s[i]) > 1e-3*(1+s[i]) {
+				t.Errorf("%dx%d: ‖WᵀU[:,%d]‖ = %v want σ=%v", sh[0], sh[1], i, n, s[i])
+			}
+		}
+		if math.Abs(res.SigmaK1-s[5]) > 1e-2*(1+s[5]) {
+			t.Errorf("%dx%d: σ_k+1 estimate %v, exact %v", sh[0], sh[1], res.SigmaK1, s[5])
 		}
 	}
 }
@@ -213,3 +224,34 @@ func TestPropertySigma1Consistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkRandomizedSVD times GEBE^p's solve shape: a skewed W shaped
+// like the mag stand-in (7987×2499, ≈62.8k nonzeros) and its transpose,
+// k=32, ε=0.1, one thread. Both orientations build the same 2499-row
+// basis.
+func BenchmarkRandomizedSVD(b *testing.B) {
+	r := NewRand(97)
+	entries := make([]sparse.Entry, 62842)
+	for i := range entries {
+		u := r.Float64()
+		entries[i] = sparse.Entry{Row: min(int(u*u*u*7987), 7986), Col: r.IntN(2499), Val: r.Float64()}
+	}
+	tall, err := sparse.New(7987, 2499, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		w    *sparse.CSR
+	}{{"7987x2499", tall}, {"2499x7987", tall.T()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			RandomizedSVD(bc.w, 32, 0.1, 1, 1) // builds the cached transpose
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = RandomizedSVD(bc.w, 32, 0.1, uint64(i), 1)
+			}
+		})
+	}
+}
+
+var benchSink RSVDResult

@@ -70,7 +70,8 @@ func ksiStartBlock(cfg KSIConfig, n, k int, rng *rand.Rand, run *obs.Run) *dense
 }
 
 // rsvdSeedBlock builds the raw Rows×b seed block for one randomized SVD
-// run (the caller orthonormalizes it). Cold runs use W·G for a Gaussian
+// run (the caller maps it through Wᵀ when the basis is built over W's
+// columns, then orthonormalizes it). Cold runs use W·G for a Gaussian
 // test matrix G, warm runs assemble [InitU | W·InitV | W·G]: carried left
 // vectors land directly, carried right vectors are mapped through W
 // (W·v ≈ σ·u), and any remaining columns come from fresh random probes so

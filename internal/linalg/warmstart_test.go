@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gebe/internal/dense"
+	"gebe/internal/sparse"
 )
 
 // A warm start from a converged eigenbasis must make the very first
@@ -116,34 +117,52 @@ func TestWarmStartBlockPadding(t *testing.T) {
 
 // Warm-started randomized SVD seeded from exact singular vectors must be
 // at least as accurate as the cold run, for each of the three warm
-// shapes: U only, V only, and both.
+// shapes: U only, V only, and both; on a tall W, whose basis is built
+// over its columns with the seed block mapped through Wᵀ, and on a wide
+// one.
 func TestRandomizedSVDWarmStart(t *testing.T) {
-	w := randomSparse(t, 60, 45, 700, 9)
 	k := 6
-	u, s, v := dense.SVD(w.ToDense())
-	uk, vk := u.SliceCols(0, k), v.SliceCols(0, k)
-
+	type exact struct {
+		w      *sparse.CSR
+		uk, vk *dense.Matrix
+		s      []float64
+	}
+	var ws []exact
+	for _, sh := range [][2]int{{60, 45}, {45, 60}} {
+		w := randomSparse(t, sh[0], sh[1], 700, 9)
+		u, s, v := dense.SVD(w.ToDense())
+		ws = append(ws, exact{w, u.SliceCols(0, k), v.SliceCols(0, k), s})
+	}
 	cases := []struct {
 		name         string
-		initU, initV *dense.Matrix
+		initU, initV bool
 	}{
-		{"cold", nil, nil},
-		{"warm_u", uk, nil},
-		{"warm_v", nil, vk},
-		{"warm_uv", uk, vk},
+		{"cold", false, false},
+		{"warm_u", true, false},
+		{"warm_v", false, true},
+		{"warm_uv", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := RandomizedSVDRun(w, SVDConfig{K: k, Seed: 4, InitU: tc.initU, InitV: tc.initV})
-			if res.U == nil || len(res.Sigma) != k {
-				t.Fatalf("bad result: %+v", res)
-			}
-			for i := 0; i < k; i++ {
-				if math.Abs(res.Sigma[i]-s[i]) > 1e-3*s[0] {
-					t.Errorf("sigma[%d] = %v, exact %v", i, res.Sigma[i], s[i])
+			for _, e := range ws {
+				cfg := SVDConfig{K: k, Seed: 4}
+				if tc.initU {
+					cfg.InitU = e.uk
 				}
-				if math.IsNaN(res.Sigma[i]) {
-					t.Fatalf("sigma[%d] is NaN", i)
+				if tc.initV {
+					cfg.InitV = e.vk
+				}
+				res := RandomizedSVDRun(e.w, cfg)
+				if res.U == nil || len(res.Sigma) != k {
+					t.Fatalf("%dx%d: bad result: %+v", e.w.Rows, e.w.Cols, res)
+				}
+				for i := 0; i < k; i++ {
+					if math.IsNaN(res.Sigma[i]) {
+						t.Fatalf("%dx%d: sigma[%d] is NaN", e.w.Rows, e.w.Cols, i)
+					}
+					if math.Abs(res.Sigma[i]-e.s[i]) > 1e-3*e.s[0] {
+						t.Errorf("%dx%d: sigma[%d] = %v, exact %v", e.w.Rows, e.w.Cols, i, res.Sigma[i], e.s[i])
+					}
 				}
 			}
 		})
