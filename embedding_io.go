@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"gebe/internal/bigraph"
 	"gebe/internal/core"
 	"gebe/internal/dense"
 	"gebe/internal/par"
@@ -515,7 +516,7 @@ func (p *lineParser) parseLines(b []byte, line int, apply bool) (int, error) {
 // value's syntax and finiteness. line is the line number the error
 // names.
 func (p *lineParser) parseLine(text []byte, line int) (meta bool, err error) {
-	f := splitFields(p.fields[:0], text)
+	f := bigraph.SplitFields(p.fields[:0], text)
 	p.fields = f
 	if len(f) == 0 {
 		return false, nil
@@ -567,51 +568,6 @@ func (p *lineParser) parseLine(text []byte, line int) (meta bool, err error) {
 		row[j] = x
 	}
 	return false, nil
-}
-
-// Byte classes for splitFields: the ASCII bytes strings.Fields splits
-// on, and the bytes ≥ 0x80 that may start a Unicode space.
-const (
-	byteField = iota
-	byteSpace
-	byteHigh
-)
-
-var byteClass = func() (c [256]uint8) {
-	for _, b := range []byte("\t\n\v\f\r ") {
-		c[b] = byteSpace
-	}
-	for b := 0x80; b < 0x100; b++ {
-		c[b] = byteHigh
-	}
-	return c
-}()
-
-// splitFields appends the whitespace-separated fields of line to f, in
-// place. They are strings.Fields' fields: a line holding a byte ≥ 0x80,
-// which may encode a Unicode space, goes through strings.Fields itself.
-func splitFields(f [][]byte, line []byte) [][]byte {
-	for i := 0; i < len(line); {
-		for i < len(line) && byteClass[line[i]] == byteSpace {
-			i++
-		}
-		j := i
-		for j < len(line) && byteClass[line[j]] == byteField {
-			j++
-		}
-		if j < len(line) && byteClass[line[j]] == byteHigh {
-			f = f[:0]
-			for _, s := range strings.Fields(string(line)) {
-				f = append(f, []byte(s))
-			}
-			return f
-		}
-		if j > i {
-			f = append(f, line[i:j])
-		}
-		i = j
-	}
-	return f
 }
 
 // atoi is strconv.Atoi(string(b)), without the conversion for the

@@ -46,3 +46,23 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadEdgeListMatchesReference: ReadEdgeList, which splits fields in
+// place in the scanner's buffer, accepts exactly what the string-based
+// referenceReadEdgeList accepts, with the same error text (line numbers
+// included) and the same graph: edges, weights bit for bit, labels.
+// Seed corpus: testdata/fuzz/FuzzReadEdgeListMatchesReference (Unicode
+// spaces U+00A0 and U+0085, CRLF, indented comments, 1 and 4 fields,
+// bad, NaN and overflowing weights).
+func FuzzReadEdgeListMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := referenceReadEdgeList(bytes.NewReader(data))
+		got, err := ReadEdgeList(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%q: error %v, reference %v", data, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: read %+v, reference %+v", data, got, want)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -209,39 +210,165 @@ func TestLemma22(t *testing.T) {
 // TestGEBEMatchesExact cross-checks Algorithm 1 against the dense
 // reference solver (Theorem 4.1): same subspace, same eigenvalues, and
 // the same Gram matrices U·Uᵀ and U·Vᵀ (which is what downstream tasks
-// consume — individual columns may differ by sign/rotation in clusters).
+// consume — individual columns may differ by sign/rotation in clusters),
+// on a tall graph (the sweeps run on H_V over |V| rows) and on its
+// transpose, a wide graph with the same spectrum (on H over |U| rows).
 func TestGEBEMatchesExact(t *testing.T) {
-	for _, om := range []pmf.PMF{pmf.NewUniform(5), pmf.NewGeometric(0.5), pmf.NewPoisson(1)} {
-		g := randomBipartite(t, 25, 18, 120, true, 77)
-		// NoAdaptiveStop: the comparison needs the full fixed budget — with
-		// Tol this deep the controller would (correctly) declare it
-		// unreachable and stop long before the subspace settles.
-		opt := Options{K: 4, PMF: om, Tau: 10, Iters: 800, Tol: 1e-12, Seed: 3, NoAdaptiveStop: true}
-		fast, err := GEBE(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := ExactEmbedding(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fast.Values {
-			if math.Abs(fast.Values[i]-exact.Values[i]) > 1e-5*(1+exact.Values[i]) {
-				t.Errorf("%s: eigenvalue %d: %v vs exact %v", om.Name(), i, fast.Values[i], exact.Values[i])
+	tall := randomBipartite(t, 25, 18, 120, true, 77)
+	for _, g := range []*bigraph.Graph{tall, transposeGraph(t, tall)} {
+		for _, om := range []pmf.PMF{pmf.NewUniform(5), pmf.NewGeometric(0.5), pmf.NewPoisson(1)} {
+			// NoAdaptiveStop: the comparison needs the full fixed budget — with
+			// Tol this deep the controller would (correctly) declare it
+			// unreachable and stop long before the subspace settles.
+			opt := Options{K: 4, PMF: om, Tau: 10, Iters: 800, Tol: 1e-12, Seed: 3, NoAdaptiveStop: true}
+			fast, err := GEBE(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := ExactEmbedding(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d/%s", g.NU, g.NV, om.Name())
+			for i := range fast.Values {
+				if math.Abs(fast.Values[i]-exact.Values[i]) > 1e-5*(1+exact.Values[i]) {
+					t.Errorf("%s: eigenvalue %d: %v vs exact %v", name, i, fast.Values[i], exact.Values[i])
+				}
+			}
+			gramFast := dense.MulT(fast.U, fast.U)
+			gramExact := dense.MulT(exact.U, exact.U)
+			if !dense.Equal(gramFast, gramExact, 1e-5) {
+				t.Errorf("%s: U·Uᵀ mismatch (max dev %g)", name, dense.Sub(gramFast, gramExact).MaxAbs())
+			}
+			puvFast := dense.MulT(fast.U, fast.V)
+			puvExact := dense.MulT(exact.U, exact.V)
+			if !dense.Equal(puvFast, puvExact, 1e-5) {
+				t.Errorf("%s: U·Vᵀ mismatch (max dev %g)", name, dense.Sub(puvFast, puvExact).MaxAbs())
 			}
 		}
-		gramFast := dense.MulT(fast.U, fast.U)
-		gramExact := dense.MulT(exact.U, exact.U)
-		if !dense.Equal(gramFast, gramExact, 1e-5) {
-			t.Errorf("%s: U·Uᵀ mismatch (max dev %g)", om.Name(),
-				dense.Sub(gramFast, gramExact).MaxAbs())
-		}
-		puvFast := dense.MulT(fast.U, fast.V)
-		puvExact := dense.MulT(exact.U, exact.V)
-		if !dense.Equal(puvFast, puvExact, 1e-5) {
-			t.Errorf("%s: U·Vᵀ mismatch", om.Name())
+	}
+}
+
+// transposeGraph swaps g's sides: its W is g's Wᵀ.
+func transposeGraph(t testing.TB, g *bigraph.Graph) *bigraph.Graph {
+	t.Helper()
+	edges := make([]bigraph.Edge, len(g.Edges))
+	for i, e := range g.Edges {
+		edges[i] = bigraph.Edge{U: e.V, V: e.U, W: e.W}
+	}
+	tg, err := bigraph.New(g.NV, g.NU, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg
+}
+
+// rankThreeGraph is 36 users × 15 items in three co-clusters of 12×5;
+// each user's weight is the same on all its items, so every block is
+// rank one and W has rank 3.
+func rankThreeGraph(t testing.TB) *bigraph.Graph {
+	t.Helper()
+	var edges []bigraph.Edge
+	for c := 0; c < 3; c++ {
+		for u := c * 12; u < (c+1)*12; u++ {
+			for v := c * 5; v < (c+1)*5; v++ {
+				edges = append(edges, bigraph.Edge{U: u, V: v, W: float64(1 + c + u%4)})
+			}
 		}
 	}
+	g, err := bigraph.New(36, 15, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGEBERankDeficient: on the tall rank-3 graph with k=6, GEBE sweeps
+// on H_V and maps back through W, where three of the six columns of
+// W·Z_V vanish. The map must complete them, not lose them: every value,
+// the null-space ones ω(0) = e^{−λ} included, matches the exact
+// reference, Z = U·Λ^{-1/2} is orthonormal to 1e-12, and H·Z = Z·Λ.
+func TestGEBERankDeficient(t *testing.T) {
+	g := rankThreeGraph(t)
+	om := pmf.NewPoisson(1)
+	opt := Options{K: 6, PMF: om, Tau: 10, Iters: 300, Tol: 1e-12, Seed: 5, NoAdaptiveStop: true}
+	emb, err := GEBE(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ExactEmbedding(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range emb.Values {
+		if math.Abs(emb.Values[i]-exact.Values[i]) > 1e-9*(1+exact.Values[i]) {
+			t.Errorf("eigenvalue %d: gebe %v exact %v", i, emb.Values[i], exact.Values[i])
+		}
+	}
+	if null := om.Weight(0); math.Abs(emb.Values[opt.K-1]-null) > 1e-12 {
+		t.Errorf("null-space eigenvalue %v, want ω(0) = %v", emb.Values[opt.K-1], null)
+	}
+	z := emb.U.Clone()
+	inv := make([]float64, opt.K)
+	for i, v := range emb.Values {
+		inv[i] = 1 / math.Sqrt(v)
+	}
+	z.ScaleCols(inv)
+	if d := dense.Sub(dense.TMul(z, z), dense.Identity(opt.K)).MaxAbs(); d > 1e-12 {
+		t.Errorf("‖ZᵀZ − I‖_max = %g, want ≤ 1e-12", d)
+	}
+	w := WeightMatrix(g).Scaled(1 / emb.SigmaScale)
+	hz := newHOperator(w, opt).ApplyInto(dense.New(z.Rows, z.Cols), z)
+	zl := z.Clone()
+	zl.ScaleCols(emb.Values)
+	if d := dense.Sub(hz, zl).MaxAbs(); d > 1e-9 {
+		t.Errorf("‖H·Z − Z·Λ‖_max = %g, want ≤ 1e-9", d)
+	}
+}
+
+// TestGEBETraceBasisSide: the ksi span names the side the sweeps ran on
+// (basis_rows = |V| for a tall graph, |U| for a wide one), and only a
+// warm run records a warm_start span.
+func TestGEBETraceBasisSide(t *testing.T) {
+	for _, sh := range [][2]int{{30, 20}, {20, 30}} {
+		g := randomBipartite(t, sh[0], sh[1], 150, true, 13)
+		var prev *Embedding
+		for _, warm := range []bool{false, true} {
+			tr := obs.NewTrace("test")
+			opt := Options{K: 5, Iters: 20, Seed: 5, Trace: tr}
+			if warm {
+				opt.WarmStart = prev
+			}
+			emb, err := GEBE(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = emb
+			ksi := findSpan(tr.Root(), "ksi")
+			if ksi == nil {
+				t.Fatalf("%dx%d: no ksi span", sh[0], sh[1])
+			}
+			if got := ksi.Attrs["basis_rows"]; got != min(sh[0], sh[1]) {
+				t.Errorf("%dx%d: basis_rows = %v, want %d", sh[0], sh[1], got, min(sh[0], sh[1]))
+			}
+			if got := findSpan(tr.Root(), "warm_start") != nil; got != warm {
+				t.Errorf("%dx%d warm=%v: warm_start span recorded = %v", sh[0], sh[1], warm, got)
+			}
+		}
+	}
+}
+
+// findSpan returns the first span named name in s's tree, depth first.
+func findSpan(s *obs.Span, name string) *obs.Span {
+	if s.Name == name {
+		return s
+	}
+	for _, c := range s.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // TestGEBEPMatchesExactPoisson: GEBE^p must agree with the exact
@@ -281,20 +408,7 @@ func TestGEBEPMatchesExactPoisson(t *testing.T) {
 // lost — Z = U·Λ^{-1/2} stays orthonormal to 1e-12 — and every value,
 // the k−3 null-space ones e^{−λ} included, matches the exact reference.
 func TestGEBEPRankDeficient(t *testing.T) {
-	// Three co-clusters of 12 users × 5 items; each user's weight is the
-	// same on all its items, so every block is rank one.
-	var edges []bigraph.Edge
-	for c := 0; c < 3; c++ {
-		for u := c * 12; u < (c+1)*12; u++ {
-			for v := c * 5; v < (c+1)*5; v++ {
-				edges = append(edges, bigraph.Edge{U: u, V: v, W: float64(1 + c + u%4)})
-			}
-		}
-	}
-	g, err := bigraph.New(36, 15, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := rankThreeGraph(t)
 	lambda := 1.0
 	opt := Options{K: 6, PMF: pmf.NewPoisson(lambda), Lambda: lambda, Tau: 60, Epsilon: 0.01, Seed: 5}
 	gp, err := GEBEP(g, opt)
@@ -335,12 +449,7 @@ func TestGEBEPTraceBasisSide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rsvd *obs.Span
-		for _, c := range tr.Root().Children[0].Children {
-			if c.Name == "rsvd" {
-				rsvd = c
-			}
-		}
+		rsvd := findSpan(tr.Root(), "rsvd")
 		if rsvd == nil {
 			t.Fatalf("%dx%d: no rsvd span", sh[0], sh[1])
 		}

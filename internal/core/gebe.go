@@ -87,6 +87,53 @@ func (o *hOperator) scratch(k int) {
 	}
 }
 
+// vOperator applies H_V = Σ_{ℓ=0}^{τ} ω(ℓ)·(WᵀW)^ℓ to |V|×k blocks, over
+// W's own CSR: Wᵀ is never materialized. H_V = f(WᵀW) and H = f(WWᵀ)
+// share their nonzero spectrum, so GEBE runs KSI on this operator when W
+// has more rows than columns and maps the Ritz vectors back to U. It
+// starts from Wᵀ times the block an hOperator run would start from
+// (linalg.Lifted). It keeps hOperator's workspace: the hops alternate
+// between the two |V|×k blocks, and q is allocated only for two gathers.
+type vOperator struct{ hOperator }
+
+func newVOperator(w *sparse.CSR, opt Options) *vOperator {
+	return &vOperator{*newHOperator(w, opt)}
+}
+
+func (o *vOperator) Dim() int { return o.w.Cols }
+
+// StartRows and Lift make the starting block Wᵀ times |U|-row draws.
+func (o *vOperator) StartRows() int { return o.w.Rows }
+
+func (o *vOperator) Lift(b *dense.Matrix) *dense.Matrix { return o.w.TMulDenseOpts(b, o.spmm) }
+
+// ApplyInto writes H_V·z into dst (|V|×k, must not alias z): dst =
+// ω(0)·z, then τ hops, hop ℓ forming y_ℓ = Wᵀ·(W·y_{ℓ−1}) (y_0 = z) in
+// one sparse.CSR.Hop with no destination, and adding ω(ℓ)·y_ℓ into dst.
+func (o *vOperator) ApplyInto(dst, z *dense.Matrix) *dense.Matrix {
+	if dst.Rows != o.w.Cols || dst.Cols != z.Cols || z.Rows != o.w.Cols {
+		panic(fmt.Sprintf("core: H_V·z with z %dx%d into %dx%d, want %d rows", z.Rows, z.Cols, dst.Rows, dst.Cols, o.w.Cols))
+	}
+	o.scratch(z.Cols)
+	w0 := o.omega.Weight(0)
+	for i, v := range z.Data {
+		dst.Data[i] = v * w0
+	}
+	y := z
+	for ell := 1; ell <= o.tau; ell++ {
+		next := o.t
+		if ell%2 == 0 {
+			next = o.tn
+		}
+		o.w.Hop(nil, next, y, o.q, 0, o.spmm)
+		if wl := o.omega.Weight(ell); wl != 0 {
+			dst.AddScaled(wl, next)
+		}
+		y = next
+	}
+	return dst
+}
+
 // scaledWeightMatrix builds W and applies the spectral scaling W/σ₁
 // unless disabled, returning the matrix and the scale used. The σ₁ power
 // iteration is traced and timed through run (nil-safe) and honors the
@@ -119,7 +166,12 @@ func scaledWeightMatrix(g *bigraph.Graph, opt Options, run *obs.Run) (*sparse.CS
 // paper: Krylov subspace iteration over the implicit multi-hop matrix H
 // instantiated by opt.PMF, followed by U = Z√Λ and V = WᵀU (Eq. (13)).
 //
-// Time complexity is O(k·t·τ·|E| + k²·t·|U|); space is
+// When W has more rows than columns (and K ≤ |V|), the sweeps run on
+// H_V = Σ ω(ℓ)(WᵀW)^ℓ over |V|×k blocks instead, which has H's nonzero
+// spectrum; the Ritz vectors Z_V are mapped back as Z = the Q of a thin
+// QR of W·Z_V, which stays orthonormal when rank(W) < k.
+//
+// Time complexity is O(k·t·τ·|E| + k²·t·min(|U|,|V|)); space is
 // O((|U|+|V|)·k + |E|).
 func GEBE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 	opt = opt.withDefaults()
@@ -139,10 +191,22 @@ func GEBE(g *bigraph.Graph, opt Options) (*Embedding, error) {
 		run.Logger().Warn("gebe: deadline exceeded", "method", method, "phase", "sigma1")
 		return nil, fmt.Errorf("core: GEBE: %w", err)
 	}
-	op := newHOperator(w, opt)
+	var op linalg.Operator = newHOperator(w, opt)
+	tall := w.Rows > w.Cols && opt.K <= w.Cols
+	if tall {
+		op = newVOperator(w, opt)
+	}
 	ksi := run.Span("ksi")
 	res := linalg.KSIRun(op, opt.ksiConfig(run))
-	ksi.Set("sweeps", res.Sweeps).Set("converged", res.Converged).Set("stop_reason", string(res.StopReason))
+	if tall && !res.DeadlineHit {
+		// Z_V holds W's right singular vectors, with H's eigenvalues. W·Z_V
+		// has orthogonal columns of norm σ_i, so the Q of its thin QR is
+		// U's eigenbasis up to column signs; where σ_i ≈ 0 the QR still
+		// completes it with orthonormal columns of null(Wᵀ).
+		res.Vectors = dense.OrthonormalizeOpts(w.MulDenseOpts(res.Vectors, opt.spmm()), opt.dn())
+	}
+	ksi.Set("sweeps", res.Sweeps).Set("converged", res.Converged).Set("stop_reason", string(res.StopReason)).
+		Set("basis_rows", op.Dim())
 	ksi.End()
 	if res.DeadlineHit {
 		root.End()

@@ -100,6 +100,46 @@ func TestGEBEDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestGEBEDeadlineMidSweepTall: a deadline that passes between KSI sweeps
+// on a tall graph, whose sweeps run on H_V, aborts GEBE with
+// budget.ErrExceeded and no embedding (the map back to U is skipped),
+// with every span closed and the ksi span on the |V| side.
+func TestGEBEDeadlineMidSweepTall(t *testing.T) {
+	g := randomBipartite(t, 60, 40, 400, true, 5)
+	tr := obs.NewTrace("deadline-test")
+	deadline := time.Now().Add(250 * time.Millisecond)
+	sweeps := 0
+	opt := Options{K: 4, Seed: 1, Iters: 50, NoAdaptiveStop: true, Deadline: deadline, Trace: tr,
+		Progress: func(p obs.Progress) {
+			if p.Phase == "ksi.sweep" {
+				sweeps = p.Step
+				if p.Step == 2 {
+					time.Sleep(time.Until(deadline) + time.Millisecond)
+				}
+			}
+		}}
+	emb, err := GEBE(g, opt)
+	if !errors.Is(err, budget.ErrExceeded) || emb != nil {
+		t.Fatalf("GEBE = %v, %v; want no embedding and budget.ErrExceeded", emb, err)
+	}
+	if sweeps != 2 {
+		t.Errorf("ran %d sweeps, want the deadline to stop it after 2", sweeps)
+	}
+	var assertClosed func(s *obs.Span)
+	assertClosed = func(s *obs.Span) {
+		if s.Duration <= 0 {
+			t.Errorf("span %q left open after timeout", s.Name)
+		}
+		for _, c := range s.Children {
+			assertClosed(c)
+		}
+	}
+	assertClosed(tr.Root())
+	if ksi := findSpan(tr.Root(), "ksi"); ksi == nil || ksi.Attrs["basis_rows"] != g.NV {
+		t.Errorf("ksi span %+v, want basis_rows %d", ksi, g.NV)
+	}
+}
+
 // TestAblationDeadlineExceeded covers the same contract for every
 // solver whose deadline plumbing is separate from GEBE's: GEBE^p (whose
 // randomized SVD must not run at all on a blown budget) and the two

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -77,40 +78,49 @@ func maxScoreDiff(a, b *Embedding) (diff, scale float64) {
 	return diff, scale
 }
 
+// warmShapes are the graphs the GEBE warm-start tests run on: a tall
+// one, whose sweeps run on H_V from Wᵀ times the warm U block, and a
+// wide one, whose sweeps run on H from the warm U block itself.
+var warmShapes = [][2]int{{60, 40}, {40, 60}}
+
 // Warm-starting GEBE from its own converged embedding must reproduce the
 // cold result within tolerance while spending almost no sweep budget.
 func TestGEBEWarmStartSameGraph(t *testing.T) {
-	g := plantedGraph(t, 60, 40, 4, 0.5, 0.02, 3)
-	opt := Options{K: 4, Seed: 1}
-	cold, err := GEBE(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cold.Converged {
-		t.Fatalf("cold solve did not converge: %d sweeps, %s", cold.Sweeps, cold.StopReason)
-	}
-	warmOpt := opt
-	warmOpt.Seed = 2 // the carried basis, not the RNG, must drive the result
-	warmOpt.WarmStart = cold
-	warm, err := GEBE(g, warmOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Error("WarmStarted not set on warm solve")
-	}
-	if cold.WarmStarted {
-		t.Error("WarmStarted set on cold solve")
-	}
-	if warm.SweepsSaved <= 0 {
-		t.Errorf("SweepsSaved = %d, want > 0", warm.SweepsSaved)
-	}
-	if warm.Sweeps > 3 {
-		t.Errorf("warm solve used %d sweeps (cold used %d), want <= 3", warm.Sweeps, cold.Sweeps)
-	}
-	diff, scale := maxScoreDiff(cold, warm)
-	if diff > 1e-5*math.Max(1, scale) {
-		t.Errorf("cold/warm score mismatch: max diff %g (scale %g)", diff, scale)
+	for _, sh := range warmShapes {
+		t.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(t *testing.T) {
+			g := plantedGraph(t, sh[0], sh[1], 4, 0.5, 0.02, 3)
+			opt := Options{K: 4, Seed: 1}
+			cold, err := GEBE(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cold.Converged {
+				t.Fatalf("cold solve did not converge: %d sweeps, %s", cold.Sweeps, cold.StopReason)
+			}
+			warmOpt := opt
+			warmOpt.Seed = 2 // the carried basis, not the RNG, must drive the result
+			warmOpt.WarmStart = cold
+			warm, err := GEBE(g, warmOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm.WarmStarted {
+				t.Error("WarmStarted not set on warm solve")
+			}
+			if cold.WarmStarted {
+				t.Error("WarmStarted set on cold solve")
+			}
+			if warm.SweepsSaved <= 0 {
+				t.Errorf("SweepsSaved = %d, want > 0", warm.SweepsSaved)
+			}
+			if warm.Sweeps > 3 {
+				t.Errorf("warm solve used %d sweeps (cold used %d), want <= 3", warm.Sweeps, cold.Sweeps)
+			}
+			diff, scale := maxScoreDiff(cold, warm)
+			if diff > 1e-5*math.Max(1, scale) {
+				t.Errorf("cold/warm score mismatch: max diff %g (scale %g)", diff, scale)
+			}
+		})
 	}
 }
 
@@ -118,35 +128,39 @@ func TestGEBEWarmStartSameGraph(t *testing.T) {
 // solve of the same graph while spending fewer sweeps — the incremental
 // train→serve loop in one assertion.
 func TestGEBEWarmStartPerturbedGraph(t *testing.T) {
-	base := plantedGraph(t, 60, 40, 4, 0.5, 0.02, 3)
-	grown := perturb(t, base, 6, 99)
-	opt := Options{K: 4, Seed: 1}
-	prev, err := GEBE(base, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := GEBE(grown, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmOpt := opt
-	warmOpt.WarmStart = prev
-	warm, err := GEBE(grown, warmOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Converged {
-		t.Fatalf("warm solve did not converge: %d sweeps, %s", warm.Sweeps, warm.StopReason)
-	}
-	if warm.SweepsSaved <= 0 {
-		t.Errorf("SweepsSaved = %d, want > 0", warm.SweepsSaved)
-	}
-	if warm.Sweeps >= cold.Sweeps {
-		t.Errorf("warm used %d sweeps, cold used %d — warm should use fewer", warm.Sweeps, cold.Sweeps)
-	}
-	diff, scale := maxScoreDiff(cold, warm)
-	if diff > 1e-4*math.Max(1, scale) {
-		t.Errorf("cold/warm score mismatch on perturbed graph: max diff %g (scale %g)", diff, scale)
+	for _, sh := range warmShapes {
+		t.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(t *testing.T) {
+			base := plantedGraph(t, sh[0], sh[1], 4, 0.5, 0.02, 3)
+			grown := perturb(t, base, 6, 99)
+			opt := Options{K: 4, Seed: 1}
+			prev, err := GEBE(base, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := GEBE(grown, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmOpt := opt
+			warmOpt.WarmStart = prev
+			warm, err := GEBE(grown, warmOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm.Converged {
+				t.Fatalf("warm solve did not converge: %d sweeps, %s", warm.Sweeps, warm.StopReason)
+			}
+			if warm.SweepsSaved <= 0 {
+				t.Errorf("SweepsSaved = %d, want > 0", warm.SweepsSaved)
+			}
+			if warm.Sweeps >= cold.Sweeps {
+				t.Errorf("warm used %d sweeps, cold used %d — warm should use fewer", warm.Sweeps, cold.Sweeps)
+			}
+			diff, scale := maxScoreDiff(cold, warm)
+			if diff > 1e-4*math.Max(1, scale) {
+				t.Errorf("cold/warm score mismatch on perturbed graph: max diff %g (scale %g)", diff, scale)
+			}
+		})
 	}
 }
 

@@ -30,6 +30,18 @@ type Operator interface {
 	ApplyInto(dst, x *dense.Matrix) *dense.Matrix
 }
 
+// Lifted is an Operator whose starting block is built on another space:
+// KSIRun draws the block it would start an operator of StartRows() rows
+// from — the Gaussian block, or InitQ zero-padded — and iterates from
+// Lift of it, a Dim()×k block. GEBE runs H_V = f(WᵀW) from Wᵀ times the
+// block an H_U = f(WWᵀ) run starts from, so the two runs' iterates
+// correspond through Wᵀ and a warm U keeps its meaning.
+type Lifted interface {
+	Operator
+	StartRows() int
+	Lift(b *dense.Matrix) *dense.Matrix
+}
+
 // NewRand returns a deterministic PCG-backed generator for the seed.
 func NewRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
@@ -247,7 +259,7 @@ func KSIRun(op Operator, cfg KSIConfig) KSIResult {
 		ctrl = newDecayController(cfg.Window, cfg.Flatness, tol, t)
 	}
 	rng := NewRand(cfg.Seed)
-	sw := newKSISweep(op, ksiStartBlock(cfg, n, k, rng, run), cfg.Dense)
+	sw := newKSISweep(op, ksiStartBlock(cfg, op, k, rng, run), cfg.Dense)
 	res := KSIResult{StopReason: StopBudget}
 	for sweep := 1; sweep <= t; sweep++ {
 		sweepStart := time.Now()

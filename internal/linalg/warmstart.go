@@ -51,16 +51,22 @@ func warmStartBlock(init *dense.Matrix, n, k int, rng *rand.Rand) (b *dense.Matr
 	return b, rows, cols
 }
 
-// ksiStartBlock returns the orthonormal starting basis for one KSI run:
-// a warm block from cfg.InitQ when set (with a "warm_start" span
-// recording the carried extent), a Gaussian block otherwise.
-func ksiStartBlock(cfg KSIConfig, n, k int, rng *rand.Rand, run *obs.Run) *dense.Matrix {
+// ksiStartBlock returns the orthonormal starting basis for one KSI run
+// on op: a warm block from cfg.InitQ when set (with a "warm_start" span
+// recording the carried extent), a Gaussian block otherwise. A Lifted
+// operator gets the block built on its StartRows() and mapped through
+// its Lift.
+func ksiStartBlock(cfg KSIConfig, op Operator, k int, rng *rand.Rand, run *obs.Run) *dense.Matrix {
+	n, lift := op.Dim(), func(b *dense.Matrix) *dense.Matrix { return b }
+	if l, ok := op.(Lifted); ok {
+		n, lift = l.StartRows(), l.Lift
+	}
 	if cfg.InitQ == nil {
-		return dense.OrthonormalizeOpts(dense.Random(n, k, rng), cfg.Dense)
+		return dense.OrthonormalizeOpts(lift(dense.Random(n, k, rng)), cfg.Dense)
 	}
 	sp := run.Span("warm_start")
 	b, rows, cols := warmStartBlock(cfg.InitQ, n, k, rng)
-	z := dense.OrthonormalizeOpts(b, cfg.Dense)
+	z := dense.OrthonormalizeOpts(lift(b), cfg.Dense)
 	sp.Set("init_rows", cfg.InitQ.Rows).Set("init_cols", cfg.InitQ.Cols).
 		Set("carried_rows", rows).Set("carried_cols", cols)
 	sp.End()

@@ -148,8 +148,10 @@ func (m *CSR) HopFused(k int, t Tuning) bool {
 // Hop runs one hop of a KSI sweep over m (|U|×|V|) on k-column blocks:
 // q = m·tl, then dst += w·q element by element (skipped when w == 0),
 // then next = mᵀ·q unless next is nil. tl and next are |V|×k, dst and q
-// |U|×k; next's previous contents do not matter. next must not alias
-// tl, and dst must alias neither: the scatter into next runs while tl is
+// |U|×k; next's previous contents do not matter. dst may be nil when
+// w == 0: a hop of (mᵀm)^ℓ on |V|×k blocks then needs no |U|×k block
+// but q, and none at all when it runs fused. next must not alias tl,
+// and dst must alias neither: the scatter into next runs while tl is
 // still being gathered.
 //
 // When HopFused holds, one pass over m's rows does all three steps and
@@ -160,7 +162,11 @@ func (m *CSR) Hop(dst, next, tl, q *dense.Matrix, w float64, t Tuning) {
 	if m.Cols != tl.Rows {
 		panic(fmt.Sprintf("sparse: Hop shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, tl.Rows, tl.Cols))
 	}
-	checkDst("Hop", dst, tl, m.Rows)
+	if dst != nil {
+		checkDst("Hop", dst, tl, m.Rows)
+	} else if w != 0 {
+		panic("sparse: Hop without a destination needs w == 0")
+	}
 	if next != nil {
 		if next.Rows != m.Cols || next.Cols != tl.Cols {
 			panic(fmt.Sprintf("sparse: Hop next block is %dx%d, want %dx%d", next.Rows, next.Cols, m.Cols, tl.Cols))
@@ -168,7 +174,7 @@ func (m *CSR) Hop(dst, next, tl, q *dense.Matrix, w float64, t Tuning) {
 		if sameData(next, tl) {
 			panic("sparse: Hop next block aliases its input")
 		}
-		if sameData(dst, next) {
+		if dst != nil && sameData(dst, next) {
 			panic("sparse: Hop destination aliases its next block")
 		}
 	}
@@ -188,9 +194,9 @@ func (m *CSR) Hop(dst, next, tl, q *dense.Matrix, w float64, t Tuning) {
 	}
 	km := kernelsEnabled()
 	t0 := kernelsNow(km)
-	dd, nd := dst.Data, []float64(nil)
-	if w == 0 {
-		dd = nil
+	var dd, nd []float64
+	if w != 0 {
+		dd = dst.Data
 	}
 	// A hop that scatters books the nnz·k multiply-adds of both products
 	// it replaces; the last hop books W·t's alone.

@@ -90,8 +90,9 @@ func rowSlice(m *CSR, lo, hi int) *CSR {
 // rows and a hub row, ±0, ±Inf and NaN in t and in dst, ω of 0 and
 // 0.37, with and without a next block (NaN-prefilled: Hop clears it),
 // Hop reproduces its flavor's two-gather path bit for bit and the
-// reference loops up to NaN payloads; so does the vector kernel over a
-// sub-range of rows.
+// reference loops up to NaN payloads; at ω = 0 so does a hop with no
+// destination at all; so does the vector kernel over a sub-range of
+// rows.
 func TestHopMatchesTwoGathers(t *testing.T) {
 	mats := []*CSR{adversarialCSR(t, 60, 35, 500, 71), holeyCSR(t, 41, 29, 300, 72)}
 	for mi, m := range mats {
@@ -130,6 +131,14 @@ func TestHopMatchesTwoGathers(t *testing.T) {
 							}
 							if i, ok := sameUpToNaN(gotN.Data, wantN.Data); !ok {
 								t.Fatalf("%s: next differs from the reference at %d: %v != %v", name, i, gotN.Data[i], wantN.Data[i])
+							}
+							if w != 0 {
+								continue
+							}
+							noDst := nanMatrix(m.Cols, k)
+							m.Hop(nil, noDst, tl, nil, 0, tn)
+							if i, ok := bitsEqual(noDst.Data, ownN.Data); !ok {
+								t.Fatalf("%s: next without dst differs from the two gathers at %d: %v != %v", name, i, noDst.Data[i], ownN.Data[i])
 							}
 						}
 					}
@@ -191,18 +200,22 @@ func TestHopDispatch(t *testing.T) {
 
 // TestHopAliasPanics: a hop whose scatter would land in the block being
 // gathered, or whose dst shares storage with either |V|×k block, panics
-// instead of computing garbage.
+// instead of computing garbage; so does one that has ω ≠ 0 to add but
+// no dst, on the fused and the two-gather plan alike.
 func TestHopAliasPanics(t *testing.T) {
 	m := adversarialCSR(t, 30, 30, 200, 77) // square, so every block has one shape
 	a, b := dense.New(30, 8), dense.New(30, 8)
 	for _, tc := range []struct {
 		name          string
 		dst, next, tl *dense.Matrix
+		w             float64
 		want          string
 	}{
-		{"next aliases t", a, b, b, "next block aliases its input"},
-		{"dst aliases t", b, a, b, "destination aliases its input"},
-		{"dst aliases next", a, a, b, "destination aliases its next block"},
+		{"next aliases t", a, b, b, 0.5, "next block aliases its input"},
+		{"dst aliases t", b, a, b, 0.5, "destination aliases its input"},
+		{"dst aliases next", a, a, b, 0.5, "destination aliases its next block"},
+		{"no dst, next aliases t", nil, b, b, 0, "next block aliases its input"},
+		{"no dst, w != 0", nil, a, b, 0.5, "without a destination"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -211,7 +224,16 @@ func TestHopAliasPanics(t *testing.T) {
 					t.Fatalf("panic %v, want one containing %q", r, tc.want)
 				}
 			}()
-			m.Hop(tc.dst, tc.next, tc.tl, nil, 0.5, Tuning{Threads: 1})
+			m.Hop(tc.dst, tc.next, tc.tl, nil, tc.w, Tuning{Threads: 1})
+		})
+		t.Run(tc.name+"/two gathers", func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("panic %v, want one containing %q", r, tc.want)
+				}
+			}()
+			m.Hop(tc.dst, tc.next, tc.tl, nil, tc.w, Tuning{Threads: 1, Kernels: cpu.KernelGo})
 		})
 	}
 }
@@ -254,7 +276,8 @@ func TestHopMetrics(t *testing.T) {
 // columns and explicit zeros — plus t, dst, ω and whether a next block
 // exists from the input, and checks the fused hop against the reference
 // composition (up to NaN payloads) and its own two gathers (bit for
-// bit).
+// bit). At ω = 0 it checks the hop without a destination too, on both
+// plans.
 func FuzzHop(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 1, 1, 2, 0, 1, 3, 2, 7, 9, 4, 2, 250, 11})
 	f.Add([]byte{5, 2, 3, 0, 0, 1, 1, 0, 2, 1, 1, 6, 0, 1, 0, 0, 0, 5})
@@ -309,6 +332,16 @@ func FuzzHop(f *testing.F) {
 			}
 			if i, ok := sameUpToNaN(gotN.Data, wantN.Data); !ok {
 				t.Fatalf("next differs from the reference at %d: %v != %v", i, gotN.Data[i], wantN.Data[i])
+			}
+		}
+		if w != 0 || !withNext {
+			return
+		}
+		for _, threads := range []int{1, 2} {
+			noDst := nanMatrix(cols, k)
+			m.Hop(nil, noDst, tl, nil, 0, Tuning{Threads: threads, MinParallelNNZ: 1, Kernels: cpu.KernelSIMD})
+			if i, ok := bitsEqual(noDst.Data, ownN.Data); !ok {
+				t.Fatalf("t=%d: next without dst differs from the two gathers at %d: %v != %v", threads, i, noDst.Data[i], ownN.Data[i])
 			}
 		}
 	})
